@@ -15,6 +15,7 @@ early (non-finite step or reference-solver blowup), 3 validation failure.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import platform
 import sys
@@ -169,12 +170,19 @@ def run_compare(cfg: RunConfig, out: Path | None) -> int:
     t_list = sorted(float(t) for t in cfg.get("compare.times")) or [icfg.t_end]
     if t_list[0] < 0.0 or t_list[-1] > icfg.t_end:
         raise ConfigError("compare.times must lie within [0, run.t_end]")
+    dt_ref = cfg.get("oracle.dt")
+    if dt_ref is not None and not (math.isfinite(dt_ref) and dt_ref > 0.0):
+        raise ConfigError(f"oracle.dt must be finite and > 0, got {dt_ref!r}")
+    cap = float(cfg.get("oracle.slope_cap"))
+    if not cap > 0.0:
+        raise ConfigError(f"oracle.slope_cap must be > 0, got {cap!r}")
+    m = cfg.get("compare.m")
+    if m is not None and m < 1:
+        raise ConfigError(f"compare.m must be >= 1, got {m!r}")
     record = evolve(grid, state, mu, icfg)
 
     u0, _, _ = make_initial(cfg.initial_spec())
-    dt_ref = cfg.get("oracle.dt")
     dt_ref = record.dt if dt_ref is None else float(dt_ref)
-    cap = float(cfg.get("oracle.slope_cap"))
     traj = eulerian_evolve(u0, dt_ref, icfg.t_end, slope_cap=cap,
                            dealias=bool(cfg.get("oracle.dealias")))
     if traj.blowup:
@@ -182,7 +190,6 @@ def run_compare(cfg: RunConfig, out: Path | None) -> int:
               file=sys.stderr)
         if traj.times[-1] < t_list[0]:
             return 2
-    m = cfg.get("compare.m")
     m = int(m) if m is not None else traj.n
     rows = []
     skipped = []

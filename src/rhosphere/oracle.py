@@ -1,17 +1,21 @@
 """Independent reference solver working directly on the velocity profile.
 
 Method of lines on the periodic unit interval: spectral derivatives, 2/3
-dealiasing of the quadratic terms, classical RK4 in time.  This route
-knows nothing about the label-space formulation, which makes it a genuine
-cross-check while solutions stay smooth, and a demonstration of the
-failure mode the label-space solver avoids: as the slope steepens the
-profile leaves the resolvable class and the run is cut off by the slope
-cap rather than continued.
+dealiasing of the quadratic terms, classical RK4 in time.  The state is
+carried as its real Fourier coefficients through the stages; the solver
+goes to physical space only to form the quadratic products, for the slope
+check, and for stored snapshots.  This route knows nothing about the
+label-space formulation, which makes it a genuine cross-check while
+solutions stay smooth, and a demonstration of the failure mode the
+label-space solver avoids: as the slope steepens the profile leaves the
+resolvable class and the run is cut off by the slope cap rather than
+continued.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,32 +31,67 @@ class EulerianTrajectory:
     slope_max: np.ndarray
     blowup: bool = False
     blowup_time: float | None = None
-    extra: dict = field(default_factory=dict)
 
     @property
     def final(self) -> np.ndarray:
         return self.states[-1]
 
 
-def _dealias_mask(n: int) -> np.ndarray:
-    k = np.arange(n // 2 + 1)
-    return (k <= n // 3).astype(float)
+class _SpectralRHS:
+    """Tendency of the Fourier coefficients of u, with its work buffers.
+
+    With dealiasing the 2/3 rule keeps the modes k <= n/3 of u, u_x and of
+    both quadratic products; without it the mask is all ones.  The
+    derivative symbol has its Nyquist entry zeroed, as in `PeriodicGrid.deriv`.
+    """
+
+    def __init__(self, n: int, dealias: bool):
+        k = np.arange(n // 2 + 1)
+        mask = (k <= n // 3).astype(float) if dealias else np.ones(k.size)
+        ik = 2j * np.pi * k
+        ik[-1] = 0.0
+        self.n = n
+        self.ik = ik
+        self.mask = mask
+        self.mask_ik = mask * ik
+        self.neg_mask = -mask
+        # -d/dx of the Helmholtz inverse, on the dealiased source
+        self.neg_mask_ik_helm = -mask * ik / (1.0 + (2.0 * np.pi) ** 2 * k**2)
+        self._spec = np.empty((2, k.size), dtype=complex)
+        self._phys = np.empty((2, n))
+        self._prod = np.empty((2, n))
+
+    def __call__(self, u_hat: np.ndarray) -> np.ndarray:
+        spec = self._spec
+        np.multiply(self.mask, u_hat, out=spec[0])
+        np.multiply(self.mask_ik, u_hat, out=spec[1])
+        u, ux = np.fft.irfft(spec, self.n, axis=1, out=self._phys)
+        prod = self._prod
+        np.multiply(u, ux, out=prod[0])
+        np.multiply(u, u, out=prod[1])
+        prod[1] += 0.5 * ux * ux
+        adv_hat, q_hat = np.fft.rfft(prod, axis=1, out=spec)
+        return self.neg_mask * adv_hat + self.neg_mask_ik_helm * q_hat
+
+    def slope(self, u_hat: np.ndarray) -> float:
+        return float(np.max(np.abs(np.fft.irfft(self.ik * u_hat, self.n))))
 
 
 def eulerian_rhs(grid: PeriodicGrid, u: np.ndarray, dealias: bool = True) -> np.ndarray:
     """Tendency of the velocity profile: -u u_x - d/dx of the smoothed source."""
-    ux = grid.deriv(u)
-    if dealias:
-        mask = _dealias_mask(grid.n)
-        u = np.fft.irfft(np.fft.rfft(u) * mask, n=grid.n)
-        ux = np.fft.irfft(np.fft.rfft(ux) * mask, n=grid.n)
-    adv = u * ux
-    q = u * u + 0.5 * ux * ux
-    if dealias:
-        mask = _dealias_mask(grid.n)
-        adv = np.fft.irfft(np.fft.rfft(adv) * mask, n=grid.n)
-        q = np.fft.irfft(np.fft.rfft(q) * mask, n=grid.n)
-    return -adv - grid.deriv(grid.helmholtz_inverse(q))
+    rhs = _SpectralRHS(grid.n, dealias)
+    return np.fft.irfft(rhs(np.fft.rfft(grid.check(u))), grid.n)
+
+
+def _check_run(dt: float, t_end: float, snapshot_stride: int, slope_cap: float) -> None:
+    if not (math.isfinite(dt) and dt > 0.0):
+        raise ValueError(f"dt must be finite and > 0, got {dt!r}")
+    if not (math.isfinite(t_end) and t_end >= 0.0):
+        raise ValueError(f"t_end must be finite and >= 0, got {t_end!r}")
+    if not slope_cap > 0.0:
+        raise ValueError(f"slope_cap must be > 0, got {slope_cap!r}")
+    if snapshot_stride < 1:
+        raise ValueError(f"snapshot_stride must be >= 1, got {snapshot_stride!r}")
 
 
 def eulerian_evolve(
@@ -65,35 +104,48 @@ def eulerian_evolve(
 ) -> EulerianTrajectory:
     """March the profile to t_end, or to the step where it stops resolving.
 
-    The run is flagged as a blowup when max|u_x| passes slope_cap or the
-    state goes non-finite; times/states then end at the last step before
-    the threshold, and blowup_time reports where the cap was crossed.
+    Steps are uniform when dt divides t_end (to 1e-9), and otherwise the
+    last one is shortened so the run ends exactly at t_end; t_end = 0
+    takes no step.  The run is flagged as a blowup when max|u_x| passes
+    slope_cap or the state goes non-finite; times/states then end at the
+    last stored step before the threshold, and blowup_time reports where
+    the cap was crossed.
     """
+    _check_run(dt, t_end, snapshot_stride, slope_cap)
     u = np.asarray(u0, dtype=float).copy()
     grid = PeriodicGrid(u.size)
-    steps = max(1, round(t_end / dt))
+    steps = max(1, round(t_end / dt)) if t_end > 0 else 0
+    uniform = abs(steps * dt - t_end) <= 1e-9 * max(1.0, t_end)
+    if not uniform:
+        steps = math.ceil(t_end / dt - 1e-12)
+
+    rhs = _SpectralRHS(grid.n, dealias)
+    u_hat = np.fft.rfft(u)
     times = [0.0]
-    states = [u.copy()]
-    slopes = [float(np.max(np.abs(grid.deriv(u))))]
+    states = [u]
+    slopes = [rhs.slope(u_hat)]
     blowup = False
     blowup_time = None
     for i in range(1, steps + 1):
-        k1 = eulerian_rhs(grid, u, dealias)
-        k2 = eulerian_rhs(grid, u + 0.5 * dt * k1, dealias)
-        k3 = eulerian_rhs(grid, u + 0.5 * dt * k2, dealias)
-        k4 = eulerian_rhs(grid, u + dt * k3, dealias)
-        u = u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        t = i * dt
-        if not np.isfinite(u).all():
+        if uniform or i < steps:
+            h, t = dt, i * dt
+        else:
+            h, t = t_end - (steps - 1) * dt, t_end
+        k1 = rhs(u_hat)
+        k2 = rhs(u_hat + (0.5 * h) * k1)
+        k3 = rhs(u_hat + (0.5 * h) * k2)
+        k4 = rhs(u_hat + h * k3)
+        u_hat += (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if not np.isfinite(u_hat).all():
             blowup, blowup_time = True, t
             break
-        smax = float(np.max(np.abs(grid.deriv(u))))
+        smax = rhs.slope(u_hat)
         if smax > slope_cap:
             blowup, blowup_time = True, t
             break
         if i % snapshot_stride == 0 or i == steps:
             times.append(t)
-            states.append(u.copy())
+            states.append(np.fft.irfft(u_hat, grid.n))
             slopes.append(smax)
     return EulerianTrajectory(
         n=grid.n,

@@ -268,6 +268,40 @@ def test_compare_skips_times_past_reference_stop(tmp_path, capsys):
     assert main(["compare", "--config", str(cfg2)]) == 2
 
 
+def test_compare_oracle_step_not_dividing_t_end(tmp_path, capsys):
+    # the reference run ends at run.t_end with a shorter last step
+    cfg = write_cfg(tmp_path, "\n".join([
+        "grid.n = 64",
+        "run.dt = 1e-2",
+        "run.t_end = 0.05",
+        "initial.amplitude = 0.1",
+        "oracle.dt = 0.04",
+    ]))
+    out = tmp_path / "c"
+    code = main(["compare", "--config", str(cfg), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert "t = 0.05  l2 = " in captured.out
+    assert "skipped" not in captured.err
+    rows = (out / "compare.csv").read_text().splitlines()
+    assert len(rows) == 2 and rows[1].startswith("0.05,")
+
+
+@pytest.mark.parametrize("line", [
+    "oracle.dt = 0",
+    "oracle.dt = nan",
+    "oracle.dt = -1e-3",
+    "compare.m = 0",
+    "oracle.slope_cap = nan",
+])
+def test_compare_rejects_bad_oracle_keys(tmp_path, capsys, line):
+    cfg = write_cfg(tmp_path, "\n".join(["grid.n = 64", "run.t_end = 0.05", line]))
+    assert main(["compare", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error")
+    assert "Traceback" not in err
+
+
 # ---------------------------------------------------------------- sweep
 
 

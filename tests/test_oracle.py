@@ -36,6 +36,27 @@ def fd_rhs(u, h):
     return -u * ux - px
 
 
+def reference_rk4(u0, dt, steps, dealias=True, slope_cap=np.inf):
+    """Plain physical-space RK4 on the public right-hand side, every step kept.
+
+    Returns the states and the step at which max|u_x| first passed
+    slope_cap (None if it never did), the state of that step excluded.
+    """
+    g = PeriodicGrid(u0.size)
+    u = np.asarray(u0, dtype=float).copy()
+    states = [u]
+    for i in range(1, steps + 1):
+        k1 = eulerian_rhs(g, u, dealias)
+        k2 = eulerian_rhs(g, u + 0.5 * dt * k1, dealias)
+        k3 = eulerian_rhs(g, u + 0.5 * dt * k2, dealias)
+        k4 = eulerian_rhs(g, u + dt * k3, dealias)
+        u = u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if np.max(np.abs(g.deriv(u))) > slope_cap:
+            return states, i
+        states.append(u)
+    return states, None
+
+
 def low_mode_profile(n, seed=11, modes=3):
     g = PeriodicGrid(n)
     rng = np.random.default_rng(seed)
@@ -103,6 +124,51 @@ def test_evolve_detects_slope_blowup():
     assert 1.0 < traj.blowup_time < 1.6
     assert traj.times[-1] <= traj.blowup_time
     assert np.all(traj.slope_max <= 8.0)
+    # the cap fires at the same step as in a physical-space RK4 loop
+    _, stop = reference_rk4(u0, 2e-4, 10000, slope_cap=8.0)
+    assert traj.blowup_time == stop * 2e-4
+
+
+@pytest.mark.parametrize("dealias,tol", [(True, 1e-12), (False, 1e-10)])
+def test_evolve_matches_physical_space_rk4(dealias, tol):
+    _, u = low_mode_profile(128)
+    traj = eulerian_evolve(u, dt=1e-3, t_end=0.3, snapshot_stride=20, dealias=dealias)
+    ref, _ = reference_rk4(u, 1e-3, 300, dealias)
+    assert traj.times.size == 16
+    for t, state in zip(traj.times, traj.states):
+        assert np.max(np.abs(state - ref[round(t / 1e-3)])) <= tol
+
+
+@pytest.mark.parametrize("dt,t_end,times", [
+    (0.04, 0.05, [0.0, 0.04, 0.05]),   # final shorter step
+    (0.03, 0.05, [0.0, 0.03, 0.05]),   # no overshoot to 0.06
+    (0.01, 0.05, [0.0, 0.01, 0.02, 0.03, 0.04, 0.05]),
+    (0.04, 0.0, [0.0]),                # no step at all
+])
+def test_evolve_ends_exactly_at_t_end(dt, t_end, times):
+    _, u = low_mode_profile(64)
+    traj = eulerian_evolve(u, dt=dt, t_end=t_end, snapshot_stride=1)
+    assert not traj.blowup
+    assert_allclose(traj.times, times, rtol=0, atol=1e-15)
+    assert traj.times[-1] == t_end
+    assert len(traj.states) == len(times)
+    if len(times) == 3:
+        # the last step is an ordinary RK4 step of the remaining length
+        ref, _ = reference_rk4(traj.states[1], t_end - times[1], 1)
+        assert np.max(np.abs(traj.final - ref[-1])) < 1e-14
+
+
+@pytest.mark.parametrize("key,value", [
+    ("dt", 0.0), ("dt", -1e-3), ("dt", np.nan), ("dt", np.inf),
+    ("t_end", -0.1), ("t_end", np.nan), ("t_end", np.inf),
+    ("slope_cap", np.nan), ("slope_cap", 0.0), ("slope_cap", -1.0),
+    ("snapshot_stride", 0),
+])
+def test_evolve_rejects_bad_arguments(key, value):
+    _, u = low_mode_profile(64)
+    args = {"dt": 1e-3, "t_end": 0.01, key: value}
+    with pytest.raises(ValueError, match=key):
+        eulerian_evolve(u, **args)
 
 
 def test_resample_band_limited_roundtrip():
