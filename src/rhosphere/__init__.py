@@ -5,7 +5,7 @@ time derivative, evolved on the unit sphere of L2([0,1)).  Submodules:
 
 grid         uniform periodic grid with quadrature, integration and Helmholtz ops
 scenarios    initial conditions (constant, sine, Fourier, peakon pair)
-lagrangian   velocity, pressure and pressure-gradient fields, vector field, energy
+lagrangian   velocity, kernel fields (pressure, its gradient), vector field, energy
 integrate    fixed-step RK4 with sphere projection, breaking detection, records
 reconstruct  flow map, inversion, velocity/slope reconstruction, weak residual
 oracle       independent pseudospectral solver in physical coordinates
@@ -23,9 +23,9 @@ from .lagrangian import (
     energy,
     evaluate,
     flat_set_measure,
+    kernel_fields,
     lagrangian_velocity,
     pressure,
-    pressure_gradient,
     state_defects,
     vector_field,
     velocity_offset,
@@ -105,11 +105,11 @@ __all__ = [
     "gronwall_check",
     "initial_state",
     "invert_flow",
+    "kernel_fields",
     "lagrangian_initial",
     "lagrangian_velocity",
     "make_initial",
     "pressure",
-    "pressure_gradient",
     "profile_distance",
     "project",
     "random_state",

@@ -108,8 +108,8 @@ def project(grid: PeriodicGrid, state: LagrangianState) -> LagrangianState:
     return LagrangianState(rho, rho_t, state.k0, state.t)
 
 
-def _advance(grid, state, mu, dt, stage1):
-    """One RK4 step reusing a precomputed first stage.
+def _advance(grid, state, mu, dt, stage1, t):
+    """One RK4 step reusing a precomputed first stage, ending at time t.
 
     rho and rho_t advance together as the two rows of one (2, n) array, so
     each stage state and each update is one array operation.  The slope of
@@ -136,12 +136,12 @@ def _advance(grid, state, mu, dt, stage1):
     acc *= dt / 6.0
     acc += y
     k0 = state.k0 + (dt / 6.0) * (stage1.offset + 2.0 * o2 + 2.0 * o3 + o4)
-    return LagrangianState(acc[0], acc[1], k0, state.t + dt)
+    return LagrangianState(acc[0], acc[1], k0, t)
 
 
 def rk4_step(grid: PeriodicGrid, state: LagrangianState, mu: float, dt: float) -> LagrangianState:
     """Classical RK4 step of the full (rho, rho_t, k0) system."""
-    return _advance(grid, state, mu, dt, evaluate(grid, state, mu))
+    return _advance(grid, state, mu, dt, evaluate(grid, state, mu), state.t + dt)
 
 
 def _diagnostics_row(grid, state, ev, eps):
@@ -201,11 +201,14 @@ def evolve(grid: PeriodicGrid, state: LagrangianState, mu: float, cfg: Integrato
 
     for i in range(1, steps + 1):
         dt_i = dt if (uniform or i < steps) else cfg.t_end - (steps - 1) * dt
+        # step i ends at i dt, the last one at t_end: a running sum of
+        # steps would drift off both by round-off
+        t_i = cfg.t_end if i == steps else i * dt
         prev = state
-        state = _advance(grid, prev, mu, dt_i, ev)
+        state = _advance(grid, prev, mu, dt_i, ev, t_i)
         if not (np.isfinite(state.rho).all() and np.isfinite(state.rho_t).all() and math.isfinite(state.k0)):
             _trim(record, i)
-            raise StepFailure(i, prev.t + dt_i, record)
+            raise StepFailure(i, t_i, record)
         if cfg.projection:
             state = project(grid, state)
         times[i] = state.t

@@ -20,11 +20,12 @@ Definitions, writing P(x) = int_0^x rho^2 and w = rho^2 vel^2 + 2 rho_t^2:
     press(x) = int_0^1 cosh(|P(x)-P(y)| - 1/2) / (2 sinh 1/2) * w(y) dy
 
 press equals the physical pressure composed with the flow map, and the
-companion field pressure_gradient equals the pressure slope composed with
-the flow map; see `reconstruct` for that use.
+companion field pgrad, the pressure gradient, equals the pressure slope
+composed with the flow map; see `reconstruct` for that use.
+`kernel_fields` returns both from one kernel evaluation.
 
-Sign convention for pressure_gradient: the far-side lobe of the odd kernel
-is subtracted,
+Sign convention for pgrad: the far-side lobe of the odd kernel is
+subtracted,
 
     pgrad(x) = int_0^x sinh(P(x)-P(y)-1/2)/(2 sinh 1/2) w dy
              - int_x^1 sinh(P(y)-P(x)-1/2)/(2 sinh 1/2) w dy,
@@ -43,7 +44,8 @@ splits into exponentials e^{+-P} = e^{+-alpha x} e^{+-pt}, and
 int_0^x e^{+-alpha y} q(y) dy has a closed form per Fourier mode of q.  The
 fast path assembles every node at once from two FFT pairs (prefix integrals
 of cosh(P) w and sinh(P) w in disguise); the direct path re-evaluates each
-node by explicit discrete-Fourier summation.  Both are exact for the
+node by explicit discrete-Fourier summation over a DFT matrix gathered
+from a table of roots of unity.  Both are exact for the
 trigonometric interpolant of the integrand, so they agree to round-off, and
 trapezoid prefix sums are avoided on purpose: their second-order error
 (about 1e-5 at n = 128) would swamp the conservation identities that the
@@ -139,29 +141,33 @@ def _exp_partials_fast(grid, p_tilde, alpha, w):
 def _exp_partials_direct(grid, p_tilde, alpha, w):
     """Same integrals, evaluated node by node from an explicit DFT.
 
-    Quadratic cost.  Shares no transform code with the fast path; the pair
-    serves as a rearrangement check on the prefix assembly.
+    Quadratic cost.  The DFT matrix is gathered from a table of the n-th
+    roots of unity; n is a power of two, so k j mod n is k j & (n - 1).
+    With c_k the weighted real-transform coefficients of e^{+-pt} w and
+    lam_k = +-alpha + 2 pi i k, each partial integral is
+
+        Re sum_k c_k (e^{lam_k x} - 1) / lam_k = e^{+-alpha x} Re(conj(v) @ dft) - Re sum(v)
+
+    for v = c / lam, and its full-period value is (e^{+-alpha} - 1) Re sum(v),
+    so no exponential of a matrix is formed.  Shares no
+    transform code with the fast path; the pair serves as a rearrangement
+    check on the prefix assembly.
     """
     n = grid.n
-    x = grid.x
     modes = np.arange(n // 2 + 1)
-    dft = np.exp(-2j * np.pi * np.outer(modes, x))
-    cp = dft @ (np.exp(p_tilde) * w) / n
-    cm = dft @ (np.exp(-p_tilde) * w) / n
-    weight = np.full(n // 2 + 1, 2.0)
-    weight[0] = 1.0
-    weight[-1] = 1.0
-
-    def accumulate(coeff, a):
-        lam = a + 2j * np.pi * modes
-        seg = (np.exp(np.outer(x, lam)) - 1.0) / lam
-        out = (seg @ (weight * coeff)).real
-        full = float(np.sum(weight * ((np.exp(lam) - 1.0) / lam * coeff).real))
-        return out, full
-
-    ep, ep_full = accumulate(cp, alpha)
-    em, em_full = accumulate(cm, -alpha)
-    return ep, em, ep_full, em_full
+    roots = np.exp(-2j * np.pi * np.arange(n) / n)
+    dft = roots[np.outer(modes, np.arange(n)) & (n - 1)]
+    et = np.exp(p_tilde)
+    coeff = dft @ np.stack((et * w, w / et), axis=1)
+    weight = np.full(n // 2 + 1, 2.0 / n)
+    weight[0] = weight[-1] = 1.0 / n
+    sign = np.array([1.0, -1.0])
+    v = (weight[:, None] * coeff) / (sign * alpha + 2j * np.pi * modes[:, None])
+    osc = (v.conj().T @ dft).real
+    const = v.sum(axis=0).real
+    ep = np.exp(alpha * grid.x) * osc[0] - const[0]
+    em = np.exp(-alpha * grid.x) * osc[1] - const[1]
+    return ep, em, (np.exp(alpha) - 1.0) * const[0], (np.exp(-alpha) - 1.0) * const[1]
 
 
 def _warp(grid, rho2):
@@ -172,7 +178,7 @@ def _warp(grid, rho2):
 
 
 def _kernel_terms(grid, p, alpha, p_tilde, w, mode):
-    """The pieces (qp, qm, ea, eb) that `_press` and `_pgrad` combine.
+    """The pieces (qp, qm, ea, eb) that `kernel_fields` combines.
 
     The near lobe of the kernel (y <= x) and the far lobe (y > x) each split
     into e^{+-P(x)} times a partial integral; regrouped,
@@ -203,15 +209,6 @@ def _press(qp, qm, ea, eb):
     qp -= qm
     qp *= 0.5
     ea += eb
-    ea -= qp
-    return ea
-
-
-def _pgrad(qp, qm, ea, eb):
-    """Odd combination, the pressure slope; overwrites qp and ea."""
-    qp += qm
-    qp *= 0.5
-    ea -= eb
     ea -= qp
     return ea
 
@@ -249,13 +246,23 @@ def lagrangian_velocity(grid: PeriodicGrid, state: LagrangianState, mu: float) -
 
 
 def pressure(grid: PeriodicGrid, state: LagrangianState, vel: np.ndarray, mode: str = "fast") -> np.ndarray:
-    """Kernel average of rho^2 vel^2 + 2 rho_t^2 in flow-distance metric."""
+    """Kernel average of rho^2 vel^2 + 2 rho_t^2 in flow-distance metric;
+    the even half of `kernel_fields`, without the gradient."""
     return _press(*_kernel_pair(grid, state.rho**2, _source_density(state, vel), mode))
 
 
-def pressure_gradient(grid: PeriodicGrid, state: LagrangianState, vel: np.ndarray, mode: str = "fast") -> np.ndarray:
-    """Odd-kernel companion of `pressure`; equals the pressure slope along the flow."""
-    return _pgrad(*_kernel_pair(grid, state.rho**2, _source_density(state, vel), mode))
+def kernel_fields(grid: PeriodicGrid, state: LagrangianState, vel: np.ndarray,
+                  mode: str = "fast") -> tuple[np.ndarray, np.ndarray]:
+    """Pressure and its odd-kernel companion, the pressure gradient, from
+    one kernel evaluation; the gradient equals the pressure slope along the
+    flow."""
+    qp, qm, ea, eb = _kernel_pair(grid, state.rho**2, _source_density(state, vel), mode)
+    # the odd combination first: the even one overwrites qp and ea
+    half = np.add(qp, qm)
+    half *= 0.5
+    pgrad = np.subtract(ea, eb)
+    pgrad -= half
+    return _press(qp, qm, ea, eb), pgrad
 
 
 @dataclass

@@ -105,8 +105,8 @@ def eulerian_evolve(
     """March the profile to t_end, or to the step where it stops resolving.
 
     Steps are uniform when dt divides t_end (to 1e-9), and otherwise the
-    last one is shortened so the run ends exactly at t_end; t_end = 0
-    takes no step.  The run is flagged as a blowup when max|u_x| passes
+    last one is shortened; either way the run ends exactly at t_end, and
+    t_end = 0 takes no step.  The run is flagged as a blowup when max|u_x| passes
     slope_cap or the state goes non-finite; times/states then end at the
     last stored step before the threshold, and blowup_time reports where
     the cap was crossed.
@@ -127,10 +127,10 @@ def eulerian_evolve(
     blowup = False
     blowup_time = None
     for i in range(1, steps + 1):
-        if uniform or i < steps:
-            h, t = dt, i * dt
-        else:
-            h, t = t_end - (steps - 1) * dt, t_end
+        h = dt if (uniform or i < steps) else t_end - (steps - 1) * dt
+        # the last stored time is t_end itself, also when steps * dt only
+        # rounds to it
+        t = t_end if i == steps else i * dt
         k1 = rhs(u_hat)
         k2 = rhs(u_hat + (0.5 * h) * k1)
         k3 = rhs(u_hat + (0.5 * h) * k2)
@@ -169,7 +169,12 @@ def profile_distance(u_a: np.ndarray, u_b: np.ndarray) -> tuple[float, float]:
 
 
 def resample_profile(u: np.ndarray, m: int) -> np.ndarray:
-    """Trigonometric interpolation of a periodic profile onto m nodes."""
+    """Trigonometric interpolation of a periodic profile onto m nodes.
+
+    Downsampling keeps the modes the m-node grid resolves.  Upsampling from
+    an even n splits the source's Nyquist mode evenly between +-n/2, so
+    the interpolant is real and passes through the source nodes.
+    """
     n = u.size
     if m == n:
         return np.asarray(u, dtype=float).copy()
@@ -177,8 +182,11 @@ def resample_profile(u: np.ndarray, m: int) -> np.ndarray:
     out = np.zeros(m // 2 + 1, dtype=complex)
     keep = min(spec.size, out.size)
     out[:keep] = spec[:keep]
-    if m < n:
+    if m < n and m % 2 == 0:
+        # the target's Nyquist mode, real on its nodes
         out[-1] = out[-1].real
+    elif m > n and n % 2 == 0:
+        out[n // 2] *= 0.5
     return np.fft.irfft(out, m) * (m / n)
 
 

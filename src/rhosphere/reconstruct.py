@@ -33,7 +33,7 @@ from typing import Callable
 import numpy as np
 
 from .grid import PeriodicGrid
-from .lagrangian import LagrangianState, energy, lagrangian_velocity, pressure_gradient
+from .lagrangian import LagrangianState, energy, kernel_fields, lagrangian_velocity
 
 FLAT_EPS_REL = 1e-8
 SLOPE_CLAMP = 1.0 / FLAT_EPS_REL
@@ -363,7 +363,7 @@ def weak_residual(
             ux = np.where(node_ok[j] & node_ok[jp], ux, 0.0)
             px = egrid.deriv(egrid.helmholtz_inverse(u * u + 0.5 * ux * ux))
         else:
-            pg = pressure_gradient(grid, st, vel)
+            pg = kernel_fields(grid, st, vel)[1]
             px, _, _ = _interp_nodes(pg, x, n)
         total += np.mean(u * test_fn.phi_t(y, t) + 0.5 * u * u * test_fn.phi_x(y, t) - px * test_fn.phi(y, t))
     return float(h * total)

@@ -24,9 +24,9 @@ from .integrate import IntegratorConfig, evolve, gronwall_check, project
 from .lagrangian import (
     LagrangianState,
     apriori_bound,
+    kernel_fields,
     lagrangian_velocity,
     pressure,
-    pressure_gradient,
 )
 from .reconstruct import flow_map
 from .scenarios import InitialSpec, lagrangian_initial, make_initial
@@ -112,10 +112,8 @@ def run_identity_suite(
         vel = lagrangian_velocity(grid, state, mu)
         rho2 = state.rho**2
         w = rho2 * vel**2 + 2.0 * state.rho_t**2
-        pf = pressure(grid, state, vel, mode="fast")
-        pd = pressure(grid, state, vel, mode="direct")
-        hf = pressure_gradient(grid, state, vel, mode="fast")
-        hd = pressure_gradient(grid, state, vel, mode="direct")
+        pf, hf = kernel_fields(grid, state, vel, mode="fast")
+        pd, hd = kernel_fields(grid, state, vel, mode="direct")
         if flip_h_sign:
             hf, hd = -hf, -hd
         worst["dual_press"] = max(worst["dual_press"], float(np.max(np.abs(pf - pd))))
@@ -207,7 +205,7 @@ def run_evolution_checks(n: int = 64, dt: float = 1e-3, t_end: float = 0.5) -> l
     for i, snap in enumerate(rec.snapshots):
         vel = lagrangian_velocity(grid, snap, mu)
         c_series[i] = vel[0]
-        h_series[i] = pressure_gradient(grid, snap, vel)[0]
+        h_series[i] = kernel_fields(grid, snap, vel)[1][0]
     dc = (c_series[2:] - c_series[:-2]) / (times[2:] - times[:-2])
     slope_err = float(np.max(np.abs(dc + h_series[1:-1])))
     out.append(_result("offset_slope_check", slope_err, 100.0 * dt * dt, "central difference"))

@@ -287,6 +287,14 @@ def test_compare_oracle_step_not_dividing_t_end(tmp_path, capsys):
     assert len(rows) == 2 and rows[1].startswith("0.05,")
 
 
+def test_compare_at_t_end_of_a_summed_step(tmp_path, capsys):
+    # ten steps of 1e-2 summed fall short of 0.1; the run must still end at
+    # run.t_end, the default comparison time
+    cfg = write_cfg(tmp_path, "\n".join(["grid.n = 64", "run.dt = 1e-2", "run.t_end = 0.1"]))
+    assert main(["compare", "--config", str(cfg)]) == 0
+    assert "t = 0.1  l2 = " in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("line", [
     "oracle.dt = 0",
     "oracle.dt = nan",

@@ -91,6 +91,17 @@ def test_snapshot_cadence():
         assert snap.t == pytest.approx(rec.series.t[step])
 
 
+@pytest.mark.parametrize("dt,t_end", [(1e-2, 0.1), (0.03, 0.1), (1e-3, 0.5)])
+def test_evolve_ends_exactly_at_t_end(dt, t_end):
+    # step i ends at i dt and the last step at t_end itself; summing the
+    # steps ended the (1e-2, 0.1) run at 0.09999999999999999
+    grid, state, mu = initial_state(InitialSpec("sine", 64, amplitude=0.2))
+    rec = evolve(grid, state, mu, IntegratorConfig(dt=dt, t_end=t_end))
+    assert rec.series.t[-1] == t_end
+    assert rec.snapshots[-1].t == t_end
+    assert np.array_equal(rec.series.t[:-1], np.arange(rec.series.t.size - 1) * dt)
+
+
 def test_first_breaking_event_peakon_frozen():
     # steep antisymmetric pair; the first sign change of rho shows up just
     # inside the crests, at a time stable under grid refinement

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -15,14 +16,15 @@ from rhosphere import (
     evaluate,
     flat_set_measure,
     initial_state,
+    kernel_fields,
     lagrangian_velocity,
     make_initial,
     pressure,
-    pressure_gradient,
     state_defects,
     vector_field,
     velocity_offset,
 )
+from rhosphere.lagrangian import _exp_partials_direct, _source_density, _warp
 from rhosphere.validate import random_state
 
 
@@ -95,12 +97,66 @@ def test_pressure_dual_routes_agree():
     for seed in (0, 1, 2):
         state = on_sphere(grid, seed)
         vel = lagrangian_velocity(grid, state, 0.1)
-        pf = pressure(grid, state, vel, mode="fast")
-        pd = pressure(grid, state, vel, mode="direct")
+        pf, hf = kernel_fields(grid, state, vel, mode="fast")
+        pd, hd = kernel_fields(grid, state, vel, mode="direct")
         assert np.max(np.abs(pf - pd)) < 1e-12
-        hf = pressure_gradient(grid, state, vel, mode="fast")
-        hd = pressure_gradient(grid, state, vel, mode="direct")
         assert np.max(np.abs(hf - hd)) < 1e-12
+        # pressure is the even half of the same evaluation, bit for bit
+        for mode, p in (("fast", pf), ("direct", pd)):
+            assert np.array_equal(pressure(grid, state, vel, mode=mode), p)
+
+
+def _direct_partials_reference(grid, p_tilde, alpha, w):
+    # the same partial integrals from a DFT matrix and a segment matrix of
+    # explicit complex exponentials
+    n = grid.n
+    x = grid.x
+    modes = np.arange(n // 2 + 1)
+    dft = np.exp(-2j * np.pi * np.outer(modes, x))
+    weight = np.full(n // 2 + 1, 2.0)
+    weight[0] = weight[-1] = 1.0
+    out = []
+    for sign in (1.0, -1.0):
+        coeff = dft @ (np.exp(sign * p_tilde) * w) / n
+        lam = sign * alpha + 2j * np.pi * modes
+        seg = (np.exp(np.outer(x, lam)) - 1.0) / lam
+        full = float(np.sum(weight * ((np.exp(lam) - 1.0) / lam * coeff).real))
+        out.append(((seg @ (weight * coeff)).real, full))
+    (ep, ep_full), (em, em_full) = out
+    return ep, em, ep_full, em_full
+
+
+@pytest.mark.parametrize("n", [16, 64, 128])
+def test_direct_partials_match_explicit_exponentials(n):
+    grid = PeriodicGrid(n)
+    clean = on_sphere(grid, n)
+    # on the sphere, and off it as an RK stage state is
+    for state in (clean, LagrangianState(1.15 * clean.rho, clean.rho_t + 0.2 * clean.rho, 0.0, 0.0)):
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", message="tangency defect")
+            vel = lagrangian_velocity(grid, state, 0.2)
+        _, alpha, p_tilde = _warp(grid, state.rho**2)
+        w = _source_density(state, vel)
+        got = _exp_partials_direct(grid, p_tilde, alpha, w)
+        want = _direct_partials_reference(grid, p_tilde, alpha, w)
+        for g, r in zip(got, want):
+            assert np.max(np.abs(g - r)) <= 1e-13
+
+
+def test_direct_route_memory_bounded():
+    # one direct evaluation may hold at most 2.5 (n/2+1) x n complex
+    # matrices at once; numpy reports its buffers to tracemalloc
+    n = 1024
+    grid = PeriodicGrid(n)
+    state = on_sphere(grid, 3)
+    vel = lagrangian_velocity(grid, state, 0.1)
+    tracemalloc.start()
+    try:
+        kernel_fields(grid, state, vel, mode="direct")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * (n // 2 + 1) * n * 16
 
 
 def test_pressure_rejects_unknown_mode():
@@ -108,6 +164,8 @@ def test_pressure_rejects_unknown_mode():
     state = LagrangianState(np.ones(32), np.zeros(32), 0.0, 0.0)
     with pytest.raises(ValueError):
         pressure(grid, state, np.zeros(32), mode="cached")
+    with pytest.raises(ValueError):
+        kernel_fields(grid, state, np.zeros(32), mode="cached")
 
 
 def test_pressure_integral_identity():
@@ -124,7 +182,7 @@ def test_pressure_gradient_mean_vanishes():
     grid = PeriodicGrid(128)
     state = on_sphere(grid, 21)
     vel = lagrangian_velocity(grid, state, -0.4)
-    pg = pressure_gradient(grid, state, vel)
+    pg = kernel_fields(grid, state, vel)[1]
     assert abs(grid.quad(pg * state.rho**2)) < 1e-11
 
 
@@ -134,8 +192,7 @@ def test_slope_identities_spectral():
     vel = lagrangian_velocity(grid, state, 0.0)
     rho2 = state.rho**2
     w = rho2 * vel**2 + 2.0 * state.rho_t**2
-    press = pressure(grid, state, vel)
-    pg = pressure_gradient(grid, state, vel)
+    press, pg = kernel_fields(grid, state, vel)
     assert np.max(np.abs(grid.deriv(press) - rho2 * pg)) < 1e-9
     assert np.max(np.abs(grid.deriv(pg) - (rho2 * press - w))) < 1e-9
 
@@ -147,9 +204,10 @@ def test_pressure_matches_eulerian_helmholtz_at_start():
     vel = lagrangian_velocity(grid, state, mu)
     ux = 2.0 * state.rho_t / state.rho
     p_ref = grid.helmholtz_inverse(vel**2 + 0.5 * ux**2)
-    assert np.max(np.abs(pressure(grid, state, vel) - p_ref)) < 1e-12
+    press, pg = kernel_fields(grid, state, vel)
+    assert np.max(np.abs(press - p_ref)) < 1e-12
     g_ref = grid.deriv(p_ref)
-    assert np.max(np.abs(pressure_gradient(grid, state, vel) - g_ref)) < 1e-10
+    assert np.max(np.abs(pg - g_ref)) < 1e-10
 
 
 def test_evaluate_bundles_consistent_fields():
@@ -236,8 +294,7 @@ def test_identities_on_random_states(seed, mu):
     vel = lagrangian_velocity(grid, state, mu)
     rho2 = state.rho**2
     w = rho2 * vel**2 + 2.0 * state.rho_t**2
-    press = pressure(grid, state, vel)
-    pg = pressure_gradient(grid, state, vel)
+    press, pg = kernel_fields(grid, state, vel)
     assert abs(grid.quad(vel * rho2) - mu) < 1e-12
     assert abs(grid.quad(rho2 * press) - grid.quad(w)) < 1e-10 * max(1.0, grid.quad(w))
     assert abs(grid.quad(pg * rho2)) < 1e-10

@@ -144,6 +144,7 @@ def test_evolve_matches_physical_space_rk4(dealias, tol):
     (0.03, 0.05, [0.0, 0.03, 0.05]),   # no overshoot to 0.06
     (0.01, 0.05, [0.0, 0.01, 0.02, 0.03, 0.04, 0.05]),
     (0.04, 0.0, [0.0]),                # no step at all
+    (0.03, 0.33, [0.03 * i for i in range(12)]),  # 11 * 0.03 rounds below 0.33
 ])
 def test_evolve_ends_exactly_at_t_end(dt, t_end, times):
     _, u = low_mode_profile(64)
@@ -179,6 +180,28 @@ def test_resample_band_limited_roundtrip():
     assert np.max(np.abs(up - (np.cos(2 * np.pi * 3 * y) - 0.4 * np.sin(2 * np.pi * 5 * y)))) < 1e-13
     back = resample_profile(up, 64)
     assert np.max(np.abs(back - u)) < 1e-13
+
+
+def test_resample_down_to_odd_m_keeps_top_mode():
+    # for odd m the highest kept mode is not a Nyquist mode, so its sine
+    # part must survive
+    g = PeriodicGrid(64)
+    for m in (3, 4, 5, 6):
+        y = np.arange(m) / m
+        assert np.max(np.abs(resample_profile(np.sin(2 * np.pi * g.x), m) - np.sin(2 * np.pi * y))) < 1e-13
+
+
+def test_resample_up_from_even_n_splits_nyquist():
+    # (-1)^j on 8 nodes is cos(8 pi x): it passes through the source nodes
+    # and vanishes halfway between them
+    up = resample_profile((-1.0) ** np.arange(8), 16)
+    assert_allclose(up, np.cos(8 * np.pi * np.arange(16) / 16), rtol=0, atol=1e-14)
+
+
+def test_resample_same_size_is_a_copy():
+    u = np.sin(2 * np.pi * np.arange(32) / 32)
+    out = resample_profile(u, 32)
+    assert out is not u and np.array_equal(out, u)
 
 
 def test_resample_preserves_mean():
