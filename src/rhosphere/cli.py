@@ -20,7 +20,7 @@ import os
 import platform
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from itertools import product
+from itertools import chain, product
 from pathlib import Path
 
 import numpy as np
@@ -53,14 +53,19 @@ def _write_lines(path: Path, lines) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
+def _floats(a: np.ndarray):
+    """A float column as strings: repr of an element of tolist() is exactly
+    what _fmt gives the float, with no Python call of ours per entry."""
+    return map(repr, a.tolist())
+
+
 def _write_series(out: Path, record: SimulationRecord) -> None:
     s = record.series
-    lines = ["t,energy,sphere_defect,tangency_defect,min_rho,flat_measure,mu_check"]
-    for i in range(s.t.size):
-        lines.append(",".join(_fmt(v) for v in (
-            s.t[i], s.energy[i], s.sphere_defect[i], s.tangency_defect[i],
-            s.min_rho[i], s.flat_measure[i], s.mu_check[i])))
-    _write_lines(out / "series.csv", lines)
+    columns = (s.t, s.energy, s.sphere_defect, s.tangency_defect,
+               s.min_rho, s.flat_measure, s.mu_check)
+    rows = map(",".join, zip(*map(_floats, columns)))
+    _write_lines(out / "series.csv",
+                 chain(["t,energy,sphere_defect,tangency_defect,min_rho,flat_measure,mu_check"], rows))
 
 
 def _write_events(out: Path, record: SimulationRecord) -> None:
@@ -73,17 +78,14 @@ def _write_events(out: Path, record: SimulationRecord) -> None:
 def _write_snapshots(out: Path, grid: PeriodicGrid, record: SimulationRecord) -> None:
     snapdir = out / "snapshots"
     snapdir.mkdir(parents=True, exist_ok=True)
+    x = list(_floats(grid.x))
     for step, state in zip(record.snapshot_steps, record.snapshots):
         fmap = flow_map(grid, state)
         vel = lagrangian_velocity(grid, state, record.mu)
         slopes, valid = slope_field(state)
-        lines = ["x,rho,rho_t,K,u,ux,valid_ux"]
-        for j in range(grid.n):
-            lines.append(",".join((
-                _fmt(grid.x[j]), _fmt(state.rho[j]), _fmt(state.rho_t[j]),
-                _fmt(fmap.knots[j]), _fmt(vel[j]), _fmt(slopes[j]),
-                "1" if valid[j] else "0")))
-        _write_lines(snapdir / f"snap_{step:06d}.csv", lines)
+        columns = (state.rho, state.rho_t, fmap.knots[:grid.n], vel, slopes)
+        rows = map(",".join, zip(x, *map(_floats, columns), map("01".__getitem__, valid.tolist())))
+        _write_lines(snapdir / f"snap_{step:06d}.csv", chain(["x,rho,rho_t,K,u,ux,valid_ux"], rows))
 
 
 def _write_metadata(out: Path, command: str, cfg: RunConfig, record: SimulationRecord | None,
@@ -119,9 +121,9 @@ def _build_run(cfg: RunConfig):
 
 
 def _simulate_to(cfg: RunConfig, out: Path):
-    out.mkdir(parents=True, exist_ok=True)
     grid, state, mu = _build_run(cfg)
     icfg = cfg.integrator_config()
+    out.mkdir(parents=True, exist_ok=True)
     code = 0
     try:
         record = evolve(grid, state, mu, icfg)
@@ -144,12 +146,7 @@ def run_simulate(cfg: RunConfig, out: Path) -> int:
 
 
 def run_validate(cfg: RunConfig, out: Path | None, flip_h_sign: bool) -> int:
-    checks = full_validation(
-        n=int(cfg.get("validate.n")),
-        seed=int(cfg.get("validate.seed")),
-        n_states=int(cfg.get("validate.n_states")),
-        flip_h_sign=flip_h_sign,
-    )
+    checks = full_validation(**cfg.validation_args(), flip_h_sign=flip_h_sign)
     lines = [c.line() for c in checks]
     for line in lines:
         print(line)
@@ -236,11 +233,15 @@ def run_sweep(cfg: RunConfig, out: Path, workers: int) -> int:
         raise ConfigError("sweep requires at least one 'sweep.<key> = values' line")
     keys = list(cfg.sweep)
     combos = list(product(*(cfg.sweep[k] for k in keys)))
-    out.mkdir(parents=True, exist_ok=True)
     payloads = []
     for idx, combo in enumerate(combos):
         assignment = dict(zip(keys, combo))
+        # reject a bad swept value before any run starts
+        run_cfg = cfg.with_values(assignment)
+        run_cfg.initial_spec()
+        run_cfg.integrator_config()
         payloads.append((cfg.values, assignment, str(out / f"run_{idx:04d}")))
+    out.mkdir(parents=True, exist_ok=True)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_worker, payloads))

@@ -9,11 +9,13 @@ Cartesian product of all such lists.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .grid import is_grid_size
 from .integrate import IntegratorConfig
-from .scenarios import InitialSpec
+from .scenarios import KINDS, InitialSpec
 
 
 class ConfigError(Exception):
@@ -124,31 +126,77 @@ class RunConfig:
         merged.update(extra)
         return RunConfig(merged, dict(self.sweep), self.source)
 
+    def _float(self, key: str, minimum: float | None = None) -> float:
+        value = float(self.get(key))
+        if not math.isfinite(value) or (minimum is not None and value < minimum):
+            bound = "finite" if minimum is None else f"finite and >= {minimum:g}"
+            raise ConfigError(f"{key} must be {bound}, got {value!r}")
+        return value
+
+    def _grid_size(self, key: str) -> int:
+        n = int(self.get(key))
+        if not is_grid_size(n):
+            raise ConfigError(f"{key} must be a power of two >= 16, got {n}")
+        return n
+
     def initial_spec(self) -> InitialSpec:
+        """The initial profile; a value no scenario accepts is a ConfigError."""
+        kind = str(self.get("initial.kind"))
+        if kind not in KINDS:
+            raise ConfigError(f"initial.kind must be one of {', '.join(KINDS)}, got {kind!r}")
+        n = self._grid_size("grid.n")
+        wavenumber = int(self.get("initial.wavenumber"))
+        if wavenumber < 1:
+            raise ConfigError(f"initial.wavenumber must be >= 1, got {wavenumber}")
+        coeffs = {}
+        for key in ("initial.cos_coeffs", "initial.sin_coeffs"):
+            coeffs[key] = tuple(self.get(key))
+            if not all(math.isfinite(c) for c in coeffs[key]):
+                raise ConfigError(f"{key} must be finite, got {coeffs[key]!r}")
+        kmax = {"sine": wavenumber, "fourier": max(map(len, coeffs.values()))}.get(kind, 0)
+        if kmax >= n // 2:
+            raise ConfigError(f"wavenumber {kmax} is not resolved on grid.n = {n} nodes")
         return InitialSpec(
-            kind=str(self.get("initial.kind")),
-            n=int(self.get("grid.n")),
-            value=float(self.get("initial.value")),
-            amplitude=float(self.get("initial.amplitude")),
-            wavenumber=int(self.get("initial.wavenumber")),
-            mean=float(self.get("initial.mean")),
-            cos_coeffs=tuple(self.get("initial.cos_coeffs")),
-            sin_coeffs=tuple(self.get("initial.sin_coeffs")),
-            p=float(self.get("initial.p")),
-            q1=float(self.get("initial.q1")),
-            q2=float(self.get("initial.q2")),
-            mollify_width=float(self.get("initial.mollify_width")),
+            kind=kind,
+            n=n,
+            value=self._float("initial.value"),
+            amplitude=self._float("initial.amplitude"),
+            wavenumber=wavenumber,
+            mean=self._float("initial.mean"),
+            cos_coeffs=coeffs["initial.cos_coeffs"],
+            sin_coeffs=coeffs["initial.sin_coeffs"],
+            p=self._float("initial.p"),
+            q1=self._float("initial.q1"),
+            q2=self._float("initial.q2"),
+            mollify_width=self._float("initial.mollify_width", 0.0),
         )
 
     def integrator_config(self) -> IntegratorConfig:
+        """Integrator settings; a value no run accepts is a ConfigError."""
         dt = self.get("run.dt")
+        if dt is not None and not (math.isfinite(dt) and dt > 0.0):
+            raise ConfigError(f"run.dt must be finite and > 0, got {dt!r}")
+        stride = int(self.get("run.snapshot_stride"))
+        if stride < 1:
+            raise ConfigError(f"run.snapshot_stride must be >= 1, got {stride}")
         return IntegratorConfig(
             dt=None if dt is None else float(dt),
-            t_end=float(self.get("run.t_end")),
+            t_end=self._float("run.t_end", 0.0),
             projection=bool(self.get("run.projection")),
-            snapshot_stride=int(self.get("run.snapshot_stride")),
-            breaking_eps=float(self.get("run.breaking_eps")),
+            snapshot_stride=stride,
+            breaking_eps=self._float("run.breaking_eps", 0.0),
         )
+
+    def validation_args(self) -> dict[str, int]:
+        """Keyword arguments of full_validation; a battery that would check
+        no state, or could not build its grid or generator, is a ConfigError."""
+        n_states = int(self.get("validate.n_states"))
+        if n_states < 1:
+            raise ConfigError(f"validate.n_states must be >= 1, got {n_states}")
+        seed = int(self.get("validate.seed"))
+        if seed < 0:
+            raise ConfigError(f"validate.seed must be >= 0, got {seed}")
+        return {"n": self._grid_size("validate.n"), "seed": seed, "n_states": n_states}
 
 
 def parse_config(path: str | Path) -> RunConfig:

@@ -23,6 +23,11 @@ def greens_function(d):
     return np.cosh(r - 0.5) / (2.0 * np.sinh(0.5))
 
 
+def is_grid_size(n: int) -> bool:
+    """Whether PeriodicGrid accepts n nodes: a power of two, at least 16."""
+    return n >= 16 and (n & (n - 1)) == 0
+
+
 class PeriodicGrid:
     """Node set x_j = j/n with quadrature, integration and Helmholtz inverses.
 
@@ -33,7 +38,7 @@ class PeriodicGrid:
     """
 
     def __init__(self, n: int):
-        if n < 16 or (n & (n - 1)) != 0:
+        if not is_grid_size(n):
             raise ValueError(f"grid size must be a power of two >= 16, got {n}")
         self.n = int(n)
         self.h = 1.0 / n

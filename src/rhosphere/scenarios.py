@@ -16,6 +16,9 @@ from .grid import PeriodicGrid, greens_function
 from .lagrangian import LagrangianState
 
 
+KINDS = ("constant", "sine", "fourier", "peakon_pair")
+
+
 @dataclass
 class InitialSpec:
     """Declarative description of an initial velocity profile.

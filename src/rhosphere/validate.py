@@ -79,11 +79,17 @@ def random_state(
         kmax = min(8, grid.n // 8)
     kmax = max(1, kmax)
 
+    k = np.arange(1, kmax + 1)
+    phase = (2.0 * np.pi * k)[:, None] * grid.x
+    cos, sin = np.cos(phase), np.sin(phase)
+
     def field(amp):
+        # one draw of all (a_k, b_k) pairs is the same stream as a draw per
+        # mode; the sum still runs mode by mode, so the state is unchanged
+        coeffs = rng.standard_normal((kmax, 2)) * amp / (k * k)[:, None]
         out = np.zeros(grid.n)
-        for k in range(1, kmax + 1):
-            a, b = rng.standard_normal(2) * amp / (k * k)
-            out += a * np.cos(2.0 * np.pi * k * grid.x) + b * np.sin(2.0 * np.pi * k * grid.x)
+        for (a, b), c, s in zip(coeffs, cos, sin):
+            out += a * c + b * s
         return out
 
     state = LagrangianState(1.0 + field(amp_rho), field(amp_rho_t), 0.0, 0.0)

@@ -6,8 +6,10 @@ Runs main() in process with small grids so the whole file stays fast.
 import numpy as np
 import pytest
 
-from rhosphere.cli import main
+from rhosphere.cli import _fmt, _simulate_to, main
 from rhosphere.config import DEFAULTS, ConfigError, RunConfig, parse_config
+from rhosphere.lagrangian import lagrangian_velocity
+from rhosphere.reconstruct import flow_map, slope_field
 
 
 def write_cfg(tmp_path, text, name="run.cfg"):
@@ -128,13 +130,68 @@ def test_simulate_writes_run_directory(tmp_path, capsys):
     assert "wrote" in capsys.readouterr().out
 
 
+def run_files(out):
+    return {p.relative_to(out).as_posix(): p.read_bytes()
+            for p in sorted(out.rglob("*")) if p.is_file()}
+
+
 def test_simulate_rerun_is_byte_identical(tmp_path):
     cfg = simulate_cfg(tmp_path)
     a, b = tmp_path / "a", tmp_path / "b"
     assert main(["simulate", "--config", str(cfg), "--out", str(a)]) == 0
     assert main(["simulate", "--config", str(cfg), "--out", str(b)]) == 0
-    for name in ["series.csv", "events.csv", "snapshots/snap_000000.csv"]:
-        assert (a / name).read_bytes() == (b / name).read_bytes()
+    files = run_files(a)
+    assert {"metadata.txt", "series.csv", "events.csv", "snapshots/snap_000050.csv"} <= set(files)
+    assert files == run_files(b)
+
+
+# The per-node writers the column-wise ones replaced, kept as the reference
+# for their bytes.
+def reference_series(record):
+    s = record.series
+    lines = ["t,energy,sphere_defect,tangency_defect,min_rho,flat_measure,mu_check"]
+    for i in range(s.t.size):
+        lines.append(",".join(_fmt(v) for v in (
+            s.t[i], s.energy[i], s.sphere_defect[i], s.tangency_defect[i],
+            s.min_rho[i], s.flat_measure[i], s.mu_check[i])))
+    return "\n".join(lines) + "\n"
+
+
+def reference_snapshot(grid, record, state):
+    fmap = flow_map(grid, state)
+    vel = lagrangian_velocity(grid, state, record.mu)
+    slopes, valid = slope_field(state)
+    lines = ["x,rho,rho_t,K,u,ux,valid_ux"]
+    for j in range(grid.n):
+        lines.append(",".join((
+            _fmt(grid.x[j]), _fmt(state.rho[j]), _fmt(state.rho_t[j]),
+            _fmt(fmap.knots[j]), _fmt(vel[j]), _fmt(slopes[j]),
+            "1" if valid[j] else "0")))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("lines,expected_code", [
+    # a peakon pair through breaking, every step stored
+    (["grid.n = 64", "initial.kind = peakon_pair", "initial.p = 3.0",
+      "run.t_end = 1.5", "run.snapshot_stride = 1"], 0),
+    # the first step overflows: one stored state, exit 2
+    (["grid.n = 64", "run.dt = 10.0", "run.t_end = 50.0", "initial.kind = sine"], 2),
+], ids=["peakon_pair_breaking", "early_stop"])
+def test_writers_match_per_node_reference(tmp_path, lines, expected_code):
+    cfg = parse_config(write_cfg(tmp_path, "\n".join(lines)))
+    out = tmp_path / "run"
+    with np.errstate(all="ignore"):
+        code, record, grid = _simulate_to(cfg, out)
+    assert code == expected_code
+    if expected_code == 0:
+        assert record.events
+        assert len(record.snapshots) == record.series.t.size
+    assert (out / "series.csv").read_bytes() == reference_series(record).encode()
+    snaps = sorted((out / "snapshots").iterdir())
+    assert [p.name for p in snaps] == [f"snap_{i:06d}.csv" for i in record.snapshot_steps]
+    with np.errstate(all="ignore"):
+        for path, state in zip(snaps, record.snapshots):
+            assert path.read_bytes() == reference_snapshot(grid, record, state).encode()
 
 
 def test_simulate_flag_overrides_config(tmp_path):
@@ -166,6 +223,48 @@ def test_simulate_blowup_exits_2_and_keeps_partial_output(tmp_path, capsys):
 def test_simulate_requires_out(tmp_path):
     with pytest.raises(SystemExit):
         main(["simulate", "--config", str(simulate_cfg(tmp_path))])
+
+
+@pytest.mark.parametrize("line", [
+    "grid.n = 100",
+    "initial.kind = bogus",
+    "run.snapshot_stride = 0",
+    "run.snapshot_stride = -3",
+    "run.dt = -1",
+    "run.dt = inf",
+    "run.t_end = nan",
+    "run.t_end = -1",
+    "run.breaking_eps = nan",
+    "initial.amplitude = inf",
+    "initial.mollify_width = -0.1",
+    "initial.wavenumber = 0",
+    "initial.wavenumber = 32",
+    "initial.kind = fourier\ninitial.sin_coeffs = " + " ".join(["0.1"] * 32),
+])
+def test_bad_run_inputs_exit_1(tmp_path, capsys, line):
+    # checked where the config becomes an initial spec and an integrator
+    # config, so every command that runs the solver rejects them
+    cfg = write_cfg(tmp_path, f"grid.n = 64\nrun.t_end = 0.01\n{line}\n")
+    swept = write_cfg(tmp_path, f"grid.n = 64\nrun.t_end = 0.01\n{line}\n"
+                      "sweep.seed = 1 2\n", name="sweep.cfg")
+    for argv in (["simulate", "--config", str(cfg), "--out", str(tmp_path / "r")],
+                 ["compare", "--config", str(cfg)],
+                 ["sweep", "--config", str(swept), "--out", str(tmp_path / "s"),
+                  "--workers", "1"]):
+        assert main(argv) == 1, argv[0]
+        err = capsys.readouterr().err
+        assert err.startswith("config error"), (argv[0], err)
+        assert "Traceback" not in err
+    assert not (tmp_path / "r").exists()
+    assert not (tmp_path / "s").exists()
+
+
+def test_sweep_rejects_bad_swept_value_before_any_run(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "run.t_end = 0.01\nsweep.grid.n = 32 100\n")
+    out = tmp_path / "s"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out), "--workers", "1"]) == 1
+    assert "grid.n must be a power of two" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_unknown_config_key_exits_1(tmp_path, capsys):
@@ -204,6 +303,21 @@ def test_validate_flip_hook_exits_3(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "validation failed" in err
     assert "slope_identity" in err
+
+
+@pytest.mark.parametrize("line,fragment", [
+    ("validate.n_states = 0", "validate.n_states must be >= 1"),
+    ("validate.n_states = -1", "validate.n_states must be >= 1"),
+    ("validate.n = 100", "validate.n must be a power of two"),
+    ("validate.seed = -1", "validate.seed must be >= 0"),
+])
+def test_validate_rejects_bad_keys(tmp_path, capsys, line, fragment):
+    # zero states made every identity check pass over nothing
+    cfg = write_cfg(tmp_path, f"validate.n = 64\n{line}\n")
+    assert main(["validate", "--config", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"config error: {fragment}")
+    assert "checks passed" not in captured.out
 
 
 # ---------------------------------------------------------------- compare

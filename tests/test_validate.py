@@ -7,6 +7,8 @@ from rhosphere import (
     random_state,
     run_identity_suite,
 )
+from rhosphere.integrate import project
+from rhosphere.lagrangian import LagrangianState
 from rhosphere.validate import derivative_tol, run_envelope_check, run_evolution_checks
 
 
@@ -26,6 +28,33 @@ def test_random_state_reproducible():
     b = random_state(grid, np.random.default_rng(7))
     assert np.array_equal(a.rho, b.rho)
     assert np.array_equal(a.rho_t, b.rho_t)
+
+
+def random_state_per_mode(grid, rng, kmax=None, amp_rho=0.12, amp_rho_t=0.35):
+    """random_state as a loop over modes, one draw and one cos/sin per mode."""
+    if kmax is None:
+        kmax = min(8, grid.n // 8)
+    kmax = max(1, kmax)
+
+    def field(amp):
+        out = np.zeros(grid.n)
+        for k in range(1, kmax + 1):
+            a, b = rng.standard_normal(2) * amp / (k * k)
+            out += a * np.cos(2.0 * np.pi * k * grid.x) + b * np.sin(2.0 * np.pi * k * grid.x)
+        return out
+
+    return project(grid, LagrangianState(1.0 + field(amp_rho), field(amp_rho_t), 0.0, 0.0))
+
+
+@pytest.mark.parametrize("n", [16, 128])
+def test_random_state_matches_per_mode_loop(n):
+    grid = PeriodicGrid(n)
+    for seed in (0, 7, 2026):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for kwargs in ({}, {"amp_rho": 0.05, "amp_rho_t": 0.1}, {"kmax": 3}):
+            st, ref = random_state(grid, rng, **kwargs), random_state_per_mode(grid, ref_rng, **kwargs)
+            assert np.array_equal(st.rho, ref.rho)
+            assert np.array_equal(st.rho_t, ref.rho_t)
 
 
 def test_identity_suite_all_pass():
