@@ -6,7 +6,7 @@ time derivative, evolved on the unit sphere of L2([0,1)).  Submodules:
 grid         uniform periodic grid with quadrature, integration and Helmholtz ops
 scenarios    initial conditions (constant, sine, Fourier, peakon pair)
 lagrangian   velocity, kernel fields (pressure, its gradient), vector field, energy
-integrate    fixed-step RK4 with sphere projection, breaking detection, records
+integrate    RK4 with sphere projection (fixed or error-controlled steps), breaking events, records
 reconstruct  flow map, inversion, velocity/slope reconstruction, weak residual
 oracle       independent pseudospectral solver in physical coordinates
 validate     identity and property suite over pseudorandom states

@@ -28,7 +28,7 @@ import numpy as np
 from . import __version__
 from .config import DEFAULTS, ConfigError, RunConfig, parse_config
 from .grid import PeriodicGrid
-from .integrate import SimulationRecord, StepFailure, evolve
+from .integrate import SimulationRecord, StepFailure, StepLimitError, evolve
 from .lagrangian import H_CONVENTION_NOTE, lagrangian_velocity
 from .oracle import compare as compare_at
 from .oracle import eulerian_evolve
@@ -106,6 +106,10 @@ def _write_metadata(out: Path, command: str, cfg: RunConfig, record: SimulationR
         lines.append(f"energy_initial = {_fmt(record.energy0)}")
         lines.append(f"energy_drift = {_fmt(record.energy_drift)}")
         lines.append(f"events = {len(record.events)}")
+        if record.adaptive:
+            lines.append(f"steps_accepted = {record.steps_accepted}")
+            lines.append(f"steps_rejected = {record.steps_rejected}")
+            lines.append(f"rhs_evaluations = {record.rhs_evaluations}")
     for k, v in (extra or {}).items():
         lines.append(f"{k} = {_fmt(v)}")
     lines.append(f"pressure_gradient_convention = {H_CONVENTION_NOTE}")
@@ -120,17 +124,26 @@ def _build_run(cfg: RunConfig):
     return grid, state, mu
 
 
+def _evolve(grid, state, mu, icfg):
+    """evolve, with a run too long for the snapshot grid of its default
+    spacing reported as a configuration problem."""
+    try:
+        return evolve(grid, state, mu, icfg)
+    except StepLimitError as exc:
+        raise ConfigError(str(exc)) from None
+
+
 def _simulate_to(cfg: RunConfig, out: Path):
     grid, state, mu = _build_run(cfg)
     icfg = cfg.integrator_config()
-    out.mkdir(parents=True, exist_ok=True)
     code = 0
     try:
-        record = evolve(grid, state, mu, icfg)
+        record = _evolve(grid, state, mu, icfg)
     except StepFailure as fail:
         record = fail.record
         print(f"run stopped early: {fail}", file=sys.stderr)
         code = 2
+    out.mkdir(parents=True, exist_ok=True)
     _write_series(out, record)
     _write_events(out, record)
     _write_snapshots(out, grid, record)
@@ -176,7 +189,7 @@ def run_compare(cfg: RunConfig, out: Path | None) -> int:
     m = cfg.get("compare.m")
     if m is not None and m < 1:
         raise ConfigError(f"compare.m must be >= 1, got {m!r}")
-    record = evolve(grid, state, mu, icfg)
+    record = _evolve(grid, state, mu, icfg)
 
     u0, _, _ = make_initial(cfg.initial_spec())
     dt_ref = record.dt if dt_ref is None else float(dt_ref)
@@ -241,12 +254,12 @@ def run_sweep(cfg: RunConfig, out: Path, workers: int) -> int:
         run_cfg.initial_spec()
         run_cfg.integrator_config()
         payloads.append((cfg.values, assignment, str(out / f"run_{idx:04d}")))
-    out.mkdir(parents=True, exist_ok=True)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_worker, payloads))
     else:
         results = [_sweep_worker(p) for p in payloads]
+    out.mkdir(parents=True, exist_ok=True)
     lines = ["run," + ",".join(keys) + ",exit,breaking_time,energy_drift,max_slope"]
     succeeded = 0
     for idx, (assignment, code, breaking, drift, max_slope) in enumerate(results):

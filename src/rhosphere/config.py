@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .grid import is_grid_size
-from .integrate import IntegratorConfig
+from .integrate import IntegratorConfig, StepLimitError, step_count
 from .scenarios import KINDS, InitialSpec
 
 
@@ -179,9 +179,15 @@ class RunConfig:
         stride = int(self.get("run.snapshot_stride"))
         if stride < 1:
             raise ConfigError(f"run.snapshot_stride must be >= 1, got {stride}")
+        t_end = self._float("run.t_end", 0.0)
+        if dt is not None:
+            try:
+                step_count(dt, t_end)
+            except StepLimitError as exc:
+                raise ConfigError(f"run.dt: {exc}") from None
         return IntegratorConfig(
             dt=None if dt is None else float(dt),
-            t_end=self._float("run.t_end", 0.0),
+            t_end=t_end,
             projection=bool(self.get("run.projection")),
             snapshot_stride=stride,
             breaking_eps=self._float("run.breaking_eps", 0.0),

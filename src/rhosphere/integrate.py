@@ -1,18 +1,39 @@
-"""Fixed-step RK4 on the sphere, with projection, diagnostics and breaking events.
+"""RK4 on the sphere, with projection, diagnostics and breaking events.
 
 The flow preserves the unit-sphere and tangency constraints exactly; the
 integrator reasserts them after every accepted step by renormalising rho
-and removing the radial component of rho_t.  Each step also records a
-diagnostics row (energy, constraint defects, minimum of rho, flat-set
-measure, mean-velocity check) plus the minimum of rho^2 + rho_t^2 and the
-field gap max|vel^2 - press| used by the lower-bound diagnostic.
+and removing the radial component of rho_t (projection after each step,
+Hairer, Lubich & Wanner, Geometric Numerical Integration, IV.4).  Each
+accepted step also records a diagnostics row (energy, constraint defects,
+minimum of rho, flat-set measure, mean-velocity check) plus the minimum of
+rho^2 + rho_t^2 and the field gap max|vel^2 - press| used by the
+lower-bound diagnostic.
 
-Wave breaking shows up here as rho passing through zero at some nodes.
-That is a regular event for this system, not a failure: the step size never
-shrinks and the run continues through it.  Events are recorded whenever the
-nodal sign pattern of rho changes or min|rho| first dips under
-breaking_eps; event times are only known to within one step (bracketed by
-the surrounding diagnostics rows), and no root polishing is attempted.
+Two steppers feed one recording loop.  With dt given, step i is one
+classical RK4 step ending at i dt, the last one at t_end.  With dt unset,
+the step size is error-controlled: a trial step is taken once whole and
+once as two halves, their difference over 15 estimates the local error
+of the halves (step doubling), and a trial whose error exceeds STEP_TOL
+is retried with a smaller step.  The right-hand side is bounded and the
+trajectories stay smooth through wave breaking, so the step is limited by
+accuracy alone; a step the controller shrinks below t_end / MAX_STEPS
+stops the run with StepFailure instead of looping on.
+
+Snapshots are the states at t = i dt for every snapshot_stride-th i and
+at t_end, dt being the given step or, when unset, `default_dt`.  An
+error-controlled run takes them from the cubic Hermite interpolant of the
+accepted step that contains them.  The interpolant needs no further
+evaluation: d rho/dt = rho_t, while d rho_t/dt and d k0/dt are the drho_t
+and the offset of the evaluations at both ends of the step.
+
+Wave breaking shows up as rho passing through zero at some labels.  That
+is a regular event for this system, not a failure, and the run continues
+through it.  A fixed-step run records an event at the end of every step
+in which the nodal sign pattern of rho changes or min|rho| first dips
+under breaking_eps, listing every label that changed sign; its time is
+known to within that step.  An error-controlled run records one event
+per label and sign change, timed at the root of that label's Hermite
+interpolant inside the step.
 """
 
 from __future__ import annotations
@@ -27,6 +48,16 @@ from .lagrangian import LagrangianState, _rhs_arrays, energy, evaluate
 
 SPHERE_TOL = 1e-12
 
+# local error allowed per error-controlled step, relative to the state's
+# largest entry (or to 1, whichever is larger)
+STEP_TOL = 1e-11
+# step-size factors of the controller: bounds per step, and the safety
+# factor on the optimal step h (tol / err)^(1/5)
+_GROW, _SHRINK, _SAFETY = 5.0, 0.2, 0.9
+# no fixed-dt run takes more steps, and no error-controlled step is
+# shorter than t_end / MAX_STEPS; the series take 80 bytes per step
+MAX_STEPS = 10_000_000
+
 
 @dataclass
 class IntegratorConfig:
@@ -39,18 +70,23 @@ class IntegratorConfig:
 
 @dataclass
 class BreakingEvent:
-    """Sign change (or near-vanishing) of rho seen at the end of a step."""
+    """Sign change (or near-vanishing) of rho, with the minimum of rho at
+    the end of the step it was found in."""
 
     time: float
     locations: list[int]
     min_rho: float
 
 
-class StepFailure(RuntimeError):
-    """A stage produced non-finite values; carries the progress so far."""
+class StepLimitError(ValueError):
+    """A run would take more than MAX_STEPS steps or snapshot points."""
 
-    def __init__(self, step: int, t: float, record: "SimulationRecord"):
-        super().__init__(f"non-finite state at step {step}, t = {t:.6g}")
+
+class StepFailure(RuntimeError):
+    """A step went non-finite or shrank below the floor; carries the progress so far."""
+
+    def __init__(self, step: int, t: float, record: "SimulationRecord", reason: str = "non-finite state"):
+        super().__init__(f"{reason} at step {step}, t = {t:.6g}")
         self.step = step
         self.t = t
         self.record = record
@@ -72,14 +108,30 @@ class TimeSeries:
 
 @dataclass
 class SimulationRecord:
+    """What a run produced.
+
+    dt is the snapshot spacing: the step of a fixed-step run, and
+    dt_heuristic when the step was error-controlled (adaptive).
+    """
+
     mu: float
     dt: float
     dt_heuristic: float
     config: IntegratorConfig
-    series: TimeSeries
+    series: TimeSeries | None = None
     snapshots: list[LagrangianState] = field(default_factory=list)
     snapshot_steps: list[int] = field(default_factory=list)
     events: list[BreakingEvent] = field(default_factory=list)
+    steps_rejected: int = 0
+    rhs_evaluations: int = 0
+
+    @property
+    def adaptive(self) -> bool:
+        return self.config.dt is None
+
+    @property
+    def steps_accepted(self) -> int:
+        return self.series.t.size - 1
 
     @property
     def energy0(self) -> float:
@@ -92,10 +144,30 @@ class SimulationRecord:
 
 
 def default_dt(grid: PeriodicGrid, state: LagrangianState, mu: float) -> float:
-    """Step heuristic 0.5 / (n * max(1, sqrt(energy))); accuracy-driven,
-    since the right-hand side is bounded and carries no grid stiffness."""
+    """Snapshot spacing 0.5 / (n * max(1, sqrt(energy))) of a run without
+    a given dt, whose steps are error-controlled; the right-hand side is
+    bounded and carries no grid stiffness, so no step needs to be this
+    short."""
     e = energy(grid, state, mu)
     return 0.5 / (grid.n * max(1.0, math.sqrt(abs(e))))
+
+
+def step_count(dt: float, t_end: float, name: str = "dt") -> tuple[int, bool]:
+    """Steps of size dt to t_end, and whether they land on t_end exactly.
+
+    When dt does not divide t_end the last step is shorter.  Raises
+    ValueError for a dt or t_end no run accepts, and StepLimitError for
+    more than MAX_STEPS steps; name is what the message calls dt.
+    """
+    if not (math.isfinite(dt) and dt > 0.0 and math.isfinite(t_end) and t_end >= 0.0):
+        raise ValueError(f"dt must be finite and > 0 and t_end finite and >= 0, got {dt!r}, {t_end!r}")
+    if t_end > MAX_STEPS * dt:
+        raise StepLimitError(f"{name} = {dt!r} takes more than {MAX_STEPS} steps to t_end = {t_end!r}")
+    steps = max(1, round(t_end / dt)) if t_end > 0 else 0
+    uniform = abs(steps * dt - t_end) <= 1e-9 * max(1.0, t_end)
+    if not uniform:
+        steps = math.ceil(t_end / dt - 1e-12)
+    return steps, uniform
 
 
 def project(grid: PeriodicGrid, state: LagrangianState) -> LagrangianState:
@@ -144,6 +216,127 @@ def rk4_step(grid: PeriodicGrid, state: LagrangianState, mu: float, dt: float) -
     return _advance(grid, state, mu, dt, evaluate(grid, state, mu), state.t + dt)
 
 
+def _grid_time(i, steps, dt, t_end):
+    """Point i of the dt grid: i dt, and t_end for the last one.  A running
+    sum of steps would drift off both by round-off."""
+    return t_end if i == steps else i * dt
+
+
+def _fixed_steps(grid, state, ev, mu, cfg, dt, steps, uniform, record):
+    """Step i of size dt ends at point i of the dt grid.  Yields each
+    step's (state, evaluation)."""
+    for i in range(1, steps + 1):
+        dt_i = dt if (uniform or i < steps) else cfg.t_end - (steps - 1) * dt
+        t_i = _grid_time(i, steps, dt, cfg.t_end)
+        state = _advance(grid, state, mu, dt_i, ev, t_i)
+        if not (np.isfinite(state.rho).all() and np.isfinite(state.rho_t).all() and math.isfinite(state.k0)):
+            raise StepFailure(i, t_i, record)
+        if cfg.projection:
+            state = project(grid, state)
+        ev = evaluate(grid, state, mu)
+        record.rhs_evaluations += 4
+        yield state, ev
+
+
+def _doubling_error(coarse, fine):
+    """Local error of the two half steps over STEP_TOL: RK4 loses a factor
+    16 per halving, so the halves' error is (fine - coarse) / 15.  NaN when
+    either went non-finite."""
+    gap = max(float(np.abs(fine.rho - coarse.rho).max()),
+              float(np.abs(fine.rho_t - coarse.rho_t).max()),
+              abs(fine.k0 - coarse.k0))
+    size = max(1.0, float(np.abs(fine.rho).max()), float(np.abs(fine.rho_t).max()))
+    return gap / (15.0 * STEP_TOL * size)
+
+
+def _adaptive_steps(grid, state, ev, mu, cfg, h, record):
+    """Error-controlled RK4 steps from t = 0 to t_end, starting with a
+    trial step h.  Yields each accepted step's (state, evaluation); the
+    accepted state is the two half steps' result."""
+    t_end = cfg.t_end
+    floor = t_end / MAX_STEPS
+    t, accepted = 0.0, 0
+    while t < t_end:
+        if h < floor:
+            raise StepFailure(accepted + 1, t, record, f"step {h:.3g} below the floor {floor:.3g}")
+        t_new = t_end if t + h >= t_end else t + h
+        h_try = t_new - t
+        coarse = _advance(grid, state, mu, h_try, ev, t_new)
+        half = _advance(grid, state, mu, 0.5 * h_try, ev, t + 0.5 * h_try)
+        fine = _advance(grid, half, mu, 0.5 * h_try, evaluate(grid, half, mu), t_new)
+        record.rhs_evaluations += 10
+        err = _doubling_error(coarse, fine)
+        if err <= 1.0:
+            state = project(grid, fine) if cfg.projection else fine
+            ev = evaluate(grid, state, mu)
+            record.rhs_evaluations += 1
+            t, accepted = t_new, accepted + 1
+            yield state, ev
+            h = h_try * (_GROW if err == 0.0 else min(_GROW, _SAFETY * err ** -0.2))
+        else:
+            record.steps_rejected += 1
+            h = h_try * (max(_SHRINK, _SAFETY * err ** -0.2) if math.isfinite(err) else _SHRINK)
+
+
+def _hermite_weights(s, h):
+    """Weights of (y_a, y_b, y'_a, y'_b) in the cubic Hermite interpolant
+    at the fraction s of a step of length h."""
+    wb = s * s * (3.0 - 2.0 * s)
+    return 1.0 - wb, wb, h * s * (1.0 - s) ** 2, h * s * s * (s - 1.0)
+
+
+def _dense_state(grid, a, ev_a, b, ev_b, t, projection):
+    """State at time t inside the accepted step from a to b."""
+    wa, wb, da, db = _hermite_weights((t - a.t) / (b.t - a.t), b.t - a.t)
+    rho = wa * a.rho + wb * b.rho + da * ev_a.drho + db * ev_b.drho
+    rho_t = wa * a.rho_t + wb * b.rho_t + da * ev_a.drho_t + db * ev_b.drho_t
+    k0 = wa * a.k0 + wb * b.k0 + da * ev_a.offset + db * ev_b.offset
+    mid = LagrangianState(rho, rho_t, k0, t)
+    return project(grid, mid) if projection else mid
+
+
+def _label_crossings(a, b, labels, min_rho):
+    """One event per label in labels, whose rho changes sign from a to b,
+    at the root of its Hermite interpolant (bisection to round-off)."""
+    h = b.t - a.t
+    ya, yb = a.rho[labels], b.rho[labels]
+    ma, mb = a.rho_t[labels], b.rho_t[labels]
+    up = ya > 0.0
+    lo, hi = np.zeros(labels.size), np.ones(labels.size)
+    for _ in range(53):
+        s = 0.5 * (lo + hi)
+        wa, wb, da, db = _hermite_weights(s, h)
+        same = (wa * ya + wb * yb + da * ma + db * mb > 0.0) == up
+        lo = np.where(same, s, lo)
+        hi = np.where(same, hi, s)
+    times = a.t + 0.5 * (lo + hi) * h
+    order = np.argsort(times, kind="stable")
+    return [BreakingEvent(float(times[j]), [int(labels[j])], min_rho) for j in order]
+
+
+class _Rows:
+    """Diagnostics rows in preallocated columns, doubled when full."""
+
+    def __init__(self, capacity):
+        self.cols = np.zeros((9, capacity))  # t, then the eight float series
+        self.argmin = np.zeros(capacity, dtype=int)
+        self.size = 0
+
+    def add(self, t, row):
+        i = self.size
+        if i == self.argmin.size:
+            self.cols = np.concatenate((self.cols, np.zeros_like(self.cols)), axis=1)
+            self.argmin = np.concatenate((self.argmin, np.zeros_like(self.argmin)))
+        self.cols[0, i] = t
+        self.cols[1:, i] = row[:8]
+        self.argmin[i] = row[8]
+        self.size = i + 1
+
+    def series(self):
+        k = self.size
+        return TimeSeries(*self.cols[:, :k], self.argmin[:k])
+
+
 def _diagnostics_row(grid, state, ev, eps):
     # every entry comes from fields the evaluation at this state formed
     inv_n = grid._inv_n
@@ -164,78 +357,67 @@ def _diagnostics_row(grid, state, ev, eps):
 def evolve(grid: PeriodicGrid, state: LagrangianState, mu: float, cfg: IntegratorConfig) -> SimulationRecord:
     """Integrate to t_end, recording diagnostics, snapshots and events.
 
-    Raises StepFailure (with the record so far attached) if a step goes
-    non-finite; breaking is handled as a recorded event, never a failure.
+    Steps are fixed at cfg.dt, or error-controlled when cfg.dt is None.
+    Raises ValueError for a dt or t_end no run accepts (StepLimitError
+    when the steps or snapshot points would exceed MAX_STEPS), and
+    StepFailure (with the record so far attached) if a step goes
+    non-finite or an error-controlled step shrinks below its floor;
+    breaking is handled as a recorded event, never a failure.
     """
     heuristic = default_dt(grid, state, mu)
-    dt = cfg.dt if cfg.dt is not None else heuristic
-    if dt <= 0 or cfg.t_end < 0:
-        raise ValueError("dt and t_end must be positive")
-    steps = max(1, round(cfg.t_end / dt)) if cfg.t_end > 0 else 0
-    uniform = abs(steps * dt - cfg.t_end) <= 1e-9 * max(1.0, cfg.t_end)
-    if not uniform:
-        steps = math.ceil(cfg.t_end / dt - 1e-12)
+    adaptive = cfg.dt is None
+    dt = heuristic if adaptive else cfg.dt
+    steps, uniform = step_count(dt, cfg.t_end, "the snapshot spacing default_dt" if adaptive else "dt")
 
     if cfg.projection:
         state = project(grid, state)
-
-    cols = np.zeros((8, steps + 1))
-    argmins = np.zeros(steps + 1, dtype=int)
-    times = np.zeros(steps + 1)
-    record = SimulationRecord(
-        mu=mu,
-        dt=dt,
-        dt_heuristic=heuristic,
-        config=cfg,
-        series=TimeSeries(times, *cols, argmins),
-    )
-
     ev = evaluate(grid, state, mu)
+    record = SimulationRecord(mu=mu, dt=dt, dt_heuristic=heuristic, config=cfg, rhs_evaluations=1)
+    rows = _Rows(64 if adaptive else steps + 1)
     row = _diagnostics_row(grid, state, ev, cfg.breaking_eps)
-    cols[:, 0] = row[:8]
-    argmins[0] = row[8]
+    rows.add(0.0, row)
     record.snapshots.append(state)
     record.snapshot_steps.append(0)
     in_band = abs(row[3]) < cfg.breaking_eps
     positive = state.rho > 0.0
+    # next snapshot: every stride-th point of the dt grid, and the last
+    snap = min(cfg.snapshot_stride, steps)
+    snap_t = _grid_time(snap, steps, dt, cfg.t_end)
 
-    for i in range(1, steps + 1):
-        dt_i = dt if (uniform or i < steps) else cfg.t_end - (steps - 1) * dt
-        # step i ends at i dt, the last one at t_end: a running sum of
-        # steps would drift off both by round-off
-        t_i = cfg.t_end if i == steps else i * dt
-        prev = state
-        state = _advance(grid, prev, mu, dt_i, ev, t_i)
-        if not (np.isfinite(state.rho).all() and np.isfinite(state.rho_t).all() and math.isfinite(state.k0)):
-            _trim(record, i)
-            raise StepFailure(i, t_i, record)
-        if cfg.projection:
-            state = project(grid, state)
-        times[i] = state.t
-        ev = evaluate(grid, state, mu)
-        row = _diagnostics_row(grid, state, ev, cfg.breaking_eps)
-        cols[:, i] = row[:8]
-        argmins[i] = row[8]
+    if adaptive:
+        stepper = _adaptive_steps(grid, state, ev, mu, cfg, heuristic, record)
+    else:
+        stepper = _fixed_steps(grid, state, ev, mu, cfg, dt, steps, uniform, record)
+    try:
+        for new, new_ev in stepper:
+            row = _diagnostics_row(grid, new, new_ev, cfg.breaking_eps)
+            rows.add(new.t, row)
 
-        now_positive = state.rho > 0.0
-        flipped = now_positive != positive
-        now_in_band = abs(row[3]) < cfg.breaking_eps
-        if flipped.any() or (now_in_band and not in_band):
-            crossed = np.flatnonzero(flipped)
-            locs = crossed.tolist() if crossed.size else [int(argmins[i])]
-            record.events.append(BreakingEvent(state.t, locs, row[3]))
-        positive, in_band = now_positive, now_in_band
+            now_positive = new.rho > 0.0
+            flipped = now_positive != positive
+            if adaptive:
+                if flipped.any():
+                    record.events += _label_crossings(state, new, np.flatnonzero(flipped), row[3])
+            else:
+                now_in_band = abs(row[3]) < cfg.breaking_eps
+                if flipped.any() or (now_in_band and not in_band):
+                    crossed = np.flatnonzero(flipped)
+                    locs = crossed.tolist() if crossed.size else [row[8]]
+                    record.events.append(BreakingEvent(new.t, locs, row[3]))
+                in_band = now_in_band
+            positive = now_positive
 
-        if i % cfg.snapshot_stride == 0 or i == steps:
-            record.snapshots.append(state)
-            record.snapshot_steps.append(i)
+            while snap <= steps and snap_t <= new.t:
+                record.snapshots.append(
+                    new if snap_t == new.t else _dense_state(grid, state, ev, new, new_ev, snap_t, cfg.projection))
+                record.snapshot_steps.append(snap)
+                snap = steps + 1 if snap == steps else min(snap + cfg.snapshot_stride, steps)
+                snap_t = _grid_time(snap, steps, dt, cfg.t_end)
+            state, ev = new, new_ev
+    finally:
+        # a StepFailure carries the record with the rows so far
+        record.series = rows.series()
     return record
-
-
-def _trim(record, upto):
-    s = record.series
-    keep = slice(0, upto)
-    record.series = TimeSeries(*(getattr(s, f)[keep] for f in s.__dataclass_fields__))
 
 
 def detect_breaking(record: SimulationRecord) -> list[BreakingEvent]:

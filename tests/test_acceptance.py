@@ -22,6 +22,7 @@ from rhosphere import (
     InitialSpec,
     IntegratorConfig,
     bump_test,
+    eulerian_velocity,
     evolve,
     gronwall_check,
     initial_state,
@@ -33,6 +34,8 @@ from rhosphere.oracle import eulerian_evolve
 from rhosphere.reconstruct import flow_map, slope_field, smoothness_diagnostic
 from rhosphere.scenarios import make_initial
 from rhosphere.validate import run_identity_suite
+
+from exact_peakons import ExactPair
 
 
 def report(capsys, num, ok, detail):
@@ -330,3 +333,59 @@ def test_criterion_9_kernel_timing_scaling(capsys):
            f"8x grid costs {ratio_fast:.1f}x by transform, {ratio_direct:.0f}x dense, {elapsed:.0f}s")
     assert ratio_fast <= 12.0, best
     assert ratio_direct >= 50.0, best
+
+
+def test_exact_pair_reference_solves_the_peakon_ode():
+    # the reference criterion 10 relies on: it starts from the package's
+    # initial profile, and its half-distance closes at d' = -p g(d)
+    pair = ExactPair(energy=1.0, d=0.1)
+    u0, _, _ = make_initial(InitialSpec("peakon_pair", 256, p=pair.p, q1=0.4, q2=0.6))
+    assert np.max(np.abs(pair.velocity(0.0, np.arange(256) / 256) - u0)) <= 1e-13
+    for t in (0.2, 0.9 * pair.collision_time):
+        h = 1e-4
+        slope = (pair.half_distance(t + h) - pair.half_distance(t - h)) / (2 * h)
+        d = pair.half_distance(t)
+        g = np.sinh(d) * np.sinh(0.5 - d) / np.sinh(0.5)
+        assert slope == pytest.approx(-np.sqrt(pair.energy * g / 2), rel=1e-6)
+    # the reflection past the collision swaps the crests' signs
+    x = np.linspace(0.0, 1.0, 101)
+    s = 0.3 * pair.collision_time
+    assert np.max(np.abs(pair.velocity(pair.collision_time + s, x) + pair.velocity(pair.collision_time - s, x))) <= 1e-12
+
+
+def test_criterion_10_exact_continuation_after_collision(capsys):
+    # the conservative continuation of the antisymmetric pair is the
+    # reflection u(t_c + s) = -u(t_c - s) of the exact solution; checked
+    # at 1.4 and 1.8 t_c on the error-controlled default step, and at
+    # n = 1024 also on a fixed step of 1e-3
+    pair = ExactPair(energy=1.0, d=0.1)
+    t_c = pair.collision_time
+    t0 = time.perf_counter()
+    l2 = {}
+    for n, dt in ((1024, None), (4096, None), (1024, 1e-3)):
+        grid, state, mu = initial_state(InitialSpec("peakon_pair", n, p=pair.p, q1=0.4, q2=0.6))
+        for share in (1.4, 1.8):
+            rec = evolve(grid, state, mu,
+                         IntegratorConfig(dt=dt, t_end=share * t_c, snapshot_stride=10**9))
+            field = eulerian_velocity(grid, rec.snapshots[-1], mu)
+            exact = pair.velocity(field.t, field.y)
+            l2[n, dt, share] = float(np.sqrt(np.mean((field.u - exact) ** 2)))
+    elapsed = time.perf_counter() - t0
+    coarse = [l2[1024, None, s] for s in (1.4, 1.8)]
+    fine = [l2[4096, None, s] for s in (1.4, 1.8)]
+    fixed = [l2[1024, 1e-3, s] for s in (1.4, 1.8)]
+    drops = [c / f for c, f in zip(coarse, fine)]
+    step_gap = max(abs(a - b) for a, b in zip(coarse, fixed))
+    # measured: l2 3.9e-4 / 4.8e-4 at n = 1024 and 9.8e-5 / 1.2e-4 at
+    # n = 4096, a drop of 4.0x, the two steps 1.8e-11 apart
+    ok = (max(coarse) <= 1e-3 and max(fine) <= 2.5e-4 and min(drops) >= 3.0
+          and step_gap <= 1e-6 and elapsed <= 120.0)
+    report(capsys, 10, ok,
+           f"exact continuation at 1.4/1.8 t_c: l2 {coarse[0]:.1e}/{coarse[1]:.1e} (n=1024) -> "
+           f"{fine[0]:.1e}/{fine[1]:.1e} (n=4096), drop {min(drops):.1f}x, "
+           f"fixed-step gap {step_gap:.1e}, {elapsed:.0f}s")
+    assert max(coarse) <= 1e-3, coarse
+    assert max(fine) <= 2.5e-4, fine
+    assert min(drops) >= 3.0, drops
+    assert step_gap <= 1e-6, (coarse, fixed)
+    assert elapsed <= 120.0

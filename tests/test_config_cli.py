@@ -170,13 +170,20 @@ def reference_snapshot(grid, record, state):
     return "\n".join(lines) + "\n"
 
 
+PEAKON_PAIR_BREAKING = ["grid.n = 64", "initial.kind = peakon_pair", "initial.p = 3.0",
+                        "run.t_end = 1.5", "run.snapshot_stride = 1"]
+
+
 @pytest.mark.parametrize("lines,expected_code", [
-    # a peakon pair through breaking, every step stored
-    (["grid.n = 64", "initial.kind = peakon_pair", "initial.p = 3.0",
-      "run.t_end = 1.5", "run.snapshot_stride = 1"], 0),
+    # a peakon pair through breaking, every step stored; the step is the
+    # snapshot spacing default_dt gives this state
+    (PEAKON_PAIR_BREAKING + ["run.dt = 0.0052132512748285275"], 0),
+    # the same pair with error-controlled steps: snapshots at every point
+    # of the default_dt grid, interpolated inside the accepted steps
+    (PEAKON_PAIR_BREAKING, 0),
     # the first step overflows: one stored state, exit 2
     (["grid.n = 64", "run.dt = 10.0", "run.t_end = 50.0", "initial.kind = sine"], 2),
-], ids=["peakon_pair_breaking", "early_stop"])
+], ids=["peakon_pair_breaking", "peakon_pair_breaking_adaptive", "early_stop"])
 def test_writers_match_per_node_reference(tmp_path, lines, expected_code):
     cfg = parse_config(write_cfg(tmp_path, "\n".join(lines)))
     out = tmp_path / "run"
@@ -185,7 +192,11 @@ def test_writers_match_per_node_reference(tmp_path, lines, expected_code):
     assert code == expected_code
     if expected_code == 0:
         assert record.events
-        assert len(record.snapshots) == record.series.t.size
+        assert record.snapshot_steps == list(range(len(record.snapshots)))
+        assert record.snapshots[-1].t == 1.5
+        if not record.adaptive:
+            assert record.dt == record.dt_heuristic
+            assert len(record.snapshots) == record.series.t.size
     assert (out / "series.csv").read_bytes() == reference_series(record).encode()
     snaps = sorted((out / "snapshots").iterdir())
     assert [p.name for p in snaps] == [f"snap_{i:06d}.csv" for i in record.snapshot_steps]
@@ -220,6 +231,72 @@ def test_simulate_blowup_exits_2_and_keeps_partial_output(tmp_path, capsys):
     assert (out / "series.csv").exists()
 
 
+def adaptive_cfg(tmp_path):
+    # a peakon pair through breaking, with no run.dt: error-controlled steps
+    return write_cfg(tmp_path, "\n".join(PEAKON_PAIR_BREAKING[:4] + ["run.snapshot_stride = 10"]),
+                     name="adaptive.cfg")
+
+
+def test_adaptive_run_directory(tmp_path, capsys):
+    a, b, fixed = tmp_path / "a", tmp_path / "b", tmp_path / "fixed"
+    assert main(["simulate", "--config", str(adaptive_cfg(tmp_path)), "--out", str(a)]) == 0
+    wrote = capsys.readouterr().out
+    assert main(["simulate", "--config", str(adaptive_cfg(tmp_path)), "--out", str(b)]) == 0
+    files = run_files(a)
+    assert files == run_files(b)
+    meta = dict(line.split(" = ", 1) for line in files["metadata.txt"].decode().splitlines())
+    rows = files["series.csv"].decode().splitlines()[1:]
+    accepted = len(rows) - 1
+    assert meta["steps_accepted"] == str(accepted)
+    assert f"steps={accepted}," in wrote
+    assert int(meta["rhs_evaluations"]) == 1 + 11 * accepted + 10 * int(meta["steps_rejected"])
+    # snapshots carry the names a fixed run at the snapshot spacing writes
+    assert meta["dt"] == meta["dt_heuristic"]
+    capsys.readouterr()
+    assert main(["simulate", "--config", str(adaptive_cfg(tmp_path)), "--out", str(fixed),
+                 "--dt", meta["dt"]]) == 0
+    fixed_files = run_files(fixed)
+    snaps = sorted(k for k in files if k.startswith("snapshots/"))
+    assert snaps == sorted(k for k in fixed_files if k.startswith("snapshots/"))
+    assert len(snaps) == 30  # steps 0, 10, ..., 280 and the last, 288
+    # fixed-step run directories keep the parent's metadata keys
+    assert b"steps_accepted" not in fixed_files["metadata.txt"]
+    assert len(fixed_files["series.csv"].decode().splitlines()) == 290
+    assert accepted < 288
+
+
+def test_adaptive_step_floor_exits_2(tmp_path, capsys, monkeypatch):
+    import rhosphere.integrate as integrate
+    from rhosphere.lagrangian import LagrangianState
+
+    def broken(grid, state, mu, dt, stage1, t):
+        return LagrangianState(np.full(grid.n, np.inf), state.rho_t, state.k0, t)
+
+    monkeypatch.setattr(integrate, "_advance", broken)
+    out = tmp_path / "run"
+    with np.errstate(all="ignore"):
+        code = main(["simulate", "--config", str(adaptive_cfg(tmp_path)), "--out", str(out)])
+    assert code == 2
+    assert "below the floor" in capsys.readouterr().err
+    assert "completed = false" in (out / "metadata.txt").read_text()
+
+
+def test_run_too_long_for_the_snapshot_grid_exits_1(tmp_path, capsys):
+    # no run.dt: the snapshot spacing default_dt would need 3e14 points
+    cfg = write_cfg(tmp_path, "grid.n = 64\nrun.t_end = 1e12\n")
+    swept = write_cfg(tmp_path, "grid.n = 64\nrun.t_end = 1e12\nsweep.initial.amplitude = 0.5 1\n",
+                      name="sweep.cfg")
+    for argv in (["simulate", "--config", str(cfg), "--out", str(tmp_path / "r")],
+                 ["compare", "--config", str(cfg)],
+                 ["sweep", "--config", str(swept), "--out", str(tmp_path / "s"), "--workers", "1"]):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: the snapshot spacing default_dt = "), err
+        assert "more than 10000000 steps" in err
+    assert not (tmp_path / "r").exists()
+    assert not (tmp_path / "s").exists()
+
+
 def test_simulate_requires_out(tmp_path):
     with pytest.raises(SystemExit):
         main(["simulate", "--config", str(simulate_cfg(tmp_path))])
@@ -232,6 +309,7 @@ def test_simulate_requires_out(tmp_path):
     "run.snapshot_stride = -3",
     "run.dt = -1",
     "run.dt = inf",
+    "run.dt = 1e-300",
     "run.t_end = nan",
     "run.t_end = -1",
     "run.breaking_eps = nan",

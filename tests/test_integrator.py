@@ -23,7 +23,10 @@ from rhosphere import (
     project,
     rk4_step,
 )
+from rhosphere.integrate import MAX_STEPS, step_count
 from rhosphere.validate import random_state
+
+from exact_peakons import ExactPair
 
 
 def test_constant_data_is_a_fixed_point():
@@ -222,3 +225,142 @@ def test_project_is_idempotent(seed):
     twice = project(grid, once)
     assert np.max(np.abs(once.rho - twice.rho)) < 1e-14
     assert np.max(np.abs(once.rho_t - twice.rho_t)) < 1e-14
+
+
+# ---------------------------------------------------------------- error-controlled steps
+
+
+def peakon_pair(n, d, energy_=1.0):
+    """Antisymmetric peakon pair at half-distance d about 1/2 of the given energy."""
+    p = ExactPair(energy_, d).p
+    return initial_state(InitialSpec("peakon_pair", n, p=p, q1=0.5 - d, q2=0.5 + d))
+
+
+@pytest.fixture(scope="module", params=[0.10, 0.11], ids=["d0.10", "d0.11"])
+def adaptive_and_fine(request):
+    """The pair through its collision (near 0.93 and 0.98), error-controlled
+    and at a fixed step dt_heuristic / 20, about 1e-4, with snapshots at
+    the same times."""
+    grid, state, mu = peakon_pair(256, request.param)
+    t_end = 1.06
+    adaptive = evolve(grid, state, mu, IntegratorConfig(t_end=t_end, snapshot_stride=50))
+    fine = evolve(grid, state, mu, IntegratorConfig(dt=adaptive.dt / 20, t_end=t_end, snapshot_stride=1000))
+    return grid, adaptive, fine
+
+
+def state_gap(a, b):
+    return max(float(np.abs(a.rho - b.rho).max()), float(np.abs(a.rho_t - b.rho_t).max()), abs(a.k0 - b.k0))
+
+
+def test_adaptive_snapshots_sit_on_the_default_dt_grid():
+    # the same snapshot steps and times as a fixed run at dt_heuristic
+    grid, state, mu = peakon_pair(64, 0.1)
+    cfg = IntegratorConfig(t_end=0.37, snapshot_stride=7)
+    adaptive = evolve(grid, state, mu, cfg)
+    fixed = evolve(grid, state, mu, IntegratorConfig(dt=adaptive.dt_heuristic, t_end=0.37, snapshot_stride=7))
+    assert adaptive.adaptive and not fixed.adaptive
+    assert adaptive.dt == fixed.dt == adaptive.dt_heuristic
+    assert adaptive.snapshot_steps == fixed.snapshot_steps
+    assert [s.t for s in adaptive.snapshots] == [s.t for s in fixed.snapshots]
+    assert adaptive.steps_accepted < fixed.steps_accepted
+
+
+def test_adaptive_run_matches_a_fine_fixed_run(adaptive_and_fine):
+    # measured: snapshots within 2.2e-9, final states within 2.8e-10
+    _, adaptive, fine = adaptive_and_fine
+    assert [s.t for s in adaptive.snapshots] == pytest.approx([s.t for s in fine.snapshots], rel=0, abs=1e-12)
+    assert max(state_gap(a, b) for a, b in zip(adaptive.snapshots, fine.snapshots)) <= 1e-7
+    assert state_gap(adaptive.snapshots[-1], fine.snapshots[-1]) <= 1e-9
+    assert adaptive.series.t[-1] == fine.series.t[-1] == 1.06
+
+
+def test_adaptive_events_are_per_label_hermite_roots(adaptive_and_fine):
+    grid, adaptive, fine = adaptive_and_fine
+    mid = grid.n // 2
+    assert all(len(e.locations) == 1 for e in adaptive.events)
+    times = [e.time for e in adaptive.events]
+    assert times == sorted(times)
+    # each label between the crests crosses once, as in the fine run
+    labels = [e.locations[0] for e in adaptive.events]
+    assert len(labels) == len(set(labels))
+    assert set(labels) == {j for e in fine.events for j in e.locations}
+    # the root lies inside an accepted step, far inside it: the steps are
+    # about 0.04 long; measured 1e-4 from the fine run's step end
+    t_adaptive = next(e.time for e in adaptive.events if e.locations == [mid])
+    t_fine = next(e.time for e in fine.events if mid in e.locations)
+    assert abs(t_adaptive - t_fine) <= 2e-3
+    assert t_adaptive not in adaptive.series.t
+
+
+def test_adaptive_energy_drift_at_the_collision():
+    # n = 1024, so that the spatial part of the drift sits below the bound;
+    # measured 5.1e-11, against 3.0e-11 at dt = 1e-4
+    grid, state, mu = peakon_pair(1024, 0.105)
+    rec = evolve(grid, state, mu, IntegratorConfig(t_end=1.02))
+    assert any(e.locations == [512] for e in rec.events)
+    assert rec.energy_drift <= 1e-9
+    assert rec.rhs_evaluations == 1 + 11 * rec.steps_accepted + 10 * rec.steps_rejected
+
+
+def test_adaptive_steps_do_not_grow_with_n():
+    # the default step would take 16386 steps here; measured 56
+    grid, state, mu = peakon_pair(4096, 0.105, energy_=4.0)
+    rec = evolve(grid, state, mu, IntegratorConfig(t_end=1.0, snapshot_stride=10**6))
+    fixed_steps, _ = step_count(rec.dt_heuristic, 1.0)
+    assert fixed_steps == 16386
+    assert 10 * rec.steps_accepted <= fixed_steps
+
+
+def test_adaptive_run_honours_projection(monkeypatch):
+    import rhosphere.integrate as integrate
+
+    calls = []
+    real = integrate.project
+
+    def counted(grid, state):
+        calls.append(state.t)
+        return real(grid, state)
+
+    monkeypatch.setattr(integrate, "project", counted)
+    grid, state, mu = peakon_pair(128, 0.1)
+    on = evolve(grid, state, mu, IntegratorConfig(t_end=0.5, snapshot_stride=20))
+    assert len(calls) >= on.steps_accepted + len(on.snapshots) - 1
+    assert np.max(on.series.sphere_defect) <= 1e-13
+    calls.clear()
+    off = evolve(grid, state, mu, IntegratorConfig(t_end=0.5, snapshot_stride=20, projection=False))
+    assert calls == []
+    assert np.max(off.series.sphere_defect) > 1e-13
+
+
+def test_adaptive_step_floor_stops_the_run(monkeypatch):
+    # every trial step goes non-finite: the step shrinks by 5x per
+    # rejection until it falls below t_end / MAX_STEPS
+    import rhosphere.integrate as integrate
+
+    def broken(grid, state, mu, dt, stage1, t):
+        return LagrangianState(np.full(grid.n, np.nan), state.rho_t, state.k0, t)
+
+    monkeypatch.setattr(integrate, "_advance", broken)
+    grid, state, mu = initial_state(InitialSpec("sine", 64, amplitude=0.5))
+    with np.errstate(all="ignore"), pytest.raises(StepFailure, match="below the floor") as exc:
+        evolve(grid, state, mu, IntegratorConfig(t_end=1.0))
+    rec = exc.value.record
+    assert rec.series.t.size == 1
+    assert 0 < rec.steps_rejected < 20
+    assert exc.value.step == 1
+
+
+@pytest.mark.parametrize("dt,t_end", [(1e-300, 1.0), (1e-8, 1.0), (1e-3, float("nan")), (float("nan"), 1.0)])
+def test_evolve_rejects_runs_it_cannot_hold(dt, t_end):
+    # 1e-300 once reached numpy as a (8, 1e300) allocation
+    grid, state, mu = initial_state(InitialSpec("sine", 64, amplitude=0.5))
+    with pytest.raises(ValueError):
+        evolve(grid, state, mu, IntegratorConfig(dt=dt, t_end=t_end))
+
+
+def test_step_count_limit():
+    assert step_count(0.1, 0.3) == (3, True)
+    assert step_count(0.03, 0.1) == (4, False)
+    assert step_count(1.0 / MAX_STEPS, 1.0)[0] == MAX_STEPS
+    with pytest.raises(ValueError, match="more than"):
+        step_count(0.5 / MAX_STEPS, 1.0)
