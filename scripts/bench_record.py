@@ -2,8 +2,9 @@
 
     python3 scripts/bench_record.py --pr N --baseline ../parent-checkout
 
-Runs `perfbench/run.py` for every workload at `--trace 0` (end-to-end
-metrics) and `--trace 1` (per-layer metrics), in this checkout and, with
+Runs `perfbench/run.py` for every workload, REPEATS times at `--trace 0`
+(end-to-end metrics) and once at `--trace 1` (per-layer metrics), each
+run as long as BENCHMARK.json sets, in this checkout and, with
 `--baseline`, in another checkout of the repository.  With a baseline the
 two checkouts alternate run by run, so that a slow spell of the host falls
 on both alike.  The output holds each run's result line (metrics, failed
@@ -23,7 +24,11 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-WORKLOADS = ("collision_cli", "fine_grid", "smallgrid_io", "verify")
+BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
+WORKLOADS = [w["name"] for w in BENCHMARK["workloads"]]
+SECONDS = BENCHMARK["run_seconds"]
+REPEATS = 10
+SEED = 1
 
 
 def commit_of(checkout: Path) -> dict | None:
@@ -36,11 +41,11 @@ def commit_of(checkout: Path) -> dict | None:
     return {"head": head.stdout.strip(), "modified": bool(status.stdout.strip())}
 
 
-def run_one(checkout: Path, workload: str, trace: int, seed: int, seconds: float) -> tuple[dict, dict]:
+def run_one(checkout: Path, workload: str, trace: int) -> tuple[dict, dict]:
     """(record, result) of one perfbench run in `checkout`."""
     done = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", str(trace)],
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(SEED),
+         "--seconds", str(SECONDS), "--trace", str(trace)],
         cwd=checkout, capture_output=True, text=True, check=True)
     lines = done.stdout.strip().splitlines()
     return json.loads(lines[-2]), json.loads(lines[-1])
@@ -49,8 +54,7 @@ def run_one(checkout: Path, workload: str, trace: int, seed: int, seconds: float
 def summary(change: list[dict], baseline: list[dict]) -> dict:
     """Per end-to-end metric: medians, the baseline's interquartile range,
     the ratio of the medians and the pairs the change won."""
-    lower = {m["name"]: m["better"] == "lower"
-             for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+    lower = {m["name"]: m["better"] == "lower" for m in BENCHMARK["end_to_end"]}
     out = {}
     for metric, is_lower in lower.items():
         ch = [r["metrics"][metric]["value"] for r in change]
@@ -67,25 +71,20 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--pr", type=int, required=True, help="number in the output name BENCH_<pr>.json")
     ap.add_argument("--baseline", type=Path, help="checkout to measure alongside this one")
-    ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--seconds", type=float, default=25.0, help="run length per perfbench run")
-    ap.add_argument("--repeats", type=int, default=1, help="end-to-end runs per workload and checkout")
-    ap.add_argument("--workloads", nargs="+", default=list(WORKLOADS), choices=WORKLOADS)
-    ap.add_argument("--out", type=Path, help="output file (default: BENCH_<pr>.json in this checkout)")
     args = ap.parse_args(argv)
 
     checkouts = {"change": ROOT}
     if args.baseline is not None:
         checkouts["baseline"] = args.baseline.resolve()
-    runs = {name: {w: {"trace0": [], "trace1": None} for w in args.workloads} for name in checkouts}
+    runs = {name: {w: {"trace0": [], "trace1": None} for w in WORKLOADS} for name in checkouts}
     machine = None
-    for workload in args.workloads:
-        for trace, repeats in ((0, args.repeats), (1, 1)):
+    for workload in WORKLOADS:
+        for trace, repeats in ((0, REPEATS), (1, 1)):
             for repeat in range(repeats):
                 # alternate which checkout runs first
                 order = list(checkouts.items())[::-1 if repeat % 2 else 1]
                 for name, checkout in order:
-                    record, result = run_one(checkout, workload, trace, args.seed, args.seconds)
+                    record, result = run_one(checkout, workload, trace)
                     machine = machine or record["machine"]
                     entry = {"jobs": record["jobs"], "failed_operations": record["failed_operations"], **result}
                     if trace == 0:
@@ -95,13 +94,13 @@ def main(argv=None) -> int:
                     print(f"{name} {workload} trace {trace}: {result['failed']} failed of {result['attempted']}",
                           file=sys.stderr)
 
-    out = {"pr": args.pr, "seed": args.seed, "seconds": args.seconds, "repeats": args.repeats,
+    out = {"pr": args.pr, "seed": SEED, "seconds": SECONDS, "repeats": REPEATS,
            "machine": machine, "commits": {name: commit_of(c) for name, c in checkouts.items()},
            "runs": runs}
     if "baseline" in checkouts:
         out["summary"] = {w: summary(runs["change"][w]["trace0"], runs["baseline"][w]["trace0"])
-                          for w in args.workloads}
-    path = args.out or ROOT / f"BENCH_{args.pr}.json"
+                          for w in WORKLOADS}
+    path = ROOT / f"BENCH_{args.pr}.json"
     path.write_text(json.dumps(out, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {path}")
     return 0

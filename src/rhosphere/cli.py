@@ -28,7 +28,7 @@ import numpy as np
 from . import __version__
 from .config import DEFAULTS, ConfigError, RunConfig, parse_config
 from .grid import PeriodicGrid
-from .integrate import SimulationRecord, StepFailure, StepLimitError, evolve
+from .integrate import SimulationRecord, StepFailure, StepLimitError, default_dt, evolve, step_count
 from .lagrangian import H_CONVENTION_NOTE, lagrangian_velocity
 from .oracle import compare as compare_at
 from .oracle import eulerian_evolve
@@ -124,21 +124,23 @@ def _build_run(cfg: RunConfig):
     return grid, state, mu
 
 
-def _evolve(grid, state, mu, icfg):
-    """evolve, with a run too long for the snapshot grid of its default
-    spacing reported as a configuration problem."""
-    try:
-        return evolve(grid, state, mu, icfg)
-    except StepLimitError as exc:
-        raise ConfigError(str(exc)) from None
+def _check_snapshot_grid(grid, state, mu, icfg):
+    """A run without run.dt too long for the snapshot grid of its default
+    spacing is a configuration problem."""
+    if icfg.dt is None:
+        try:
+            step_count(default_dt(grid, state, mu), icfg.t_end, "the snapshot spacing default_dt")
+        except StepLimitError as exc:
+            raise ConfigError(str(exc)) from None
 
 
 def _simulate_to(cfg: RunConfig, out: Path):
     grid, state, mu = _build_run(cfg)
     icfg = cfg.integrator_config()
+    _check_snapshot_grid(grid, state, mu, icfg)
     code = 0
     try:
-        record = _evolve(grid, state, mu, icfg)
+        record = evolve(grid, state, mu, icfg)
     except StepFailure as fail:
         record = fail.record
         print(f"run stopped early: {fail}", file=sys.stderr)
@@ -189,7 +191,8 @@ def run_compare(cfg: RunConfig, out: Path | None) -> int:
     m = cfg.get("compare.m")
     if m is not None and m < 1:
         raise ConfigError(f"compare.m must be >= 1, got {m!r}")
-    record = _evolve(grid, state, mu, icfg)
+    _check_snapshot_grid(grid, state, mu, icfg)
+    record = evolve(grid, state, mu, icfg)
 
     u0, _, _ = make_initial(cfg.initial_spec())
     dt_ref = record.dt if dt_ref is None else float(dt_ref)
@@ -252,7 +255,9 @@ def run_sweep(cfg: RunConfig, out: Path, workers: int) -> int:
         # reject a bad swept value before any run starts
         run_cfg = cfg.with_values(assignment)
         run_cfg.initial_spec()
-        run_cfg.integrator_config()
+        icfg = run_cfg.integrator_config()
+        if icfg.dt is None:
+            _check_snapshot_grid(*_build_run(run_cfg), icfg)
         payloads.append((cfg.values, assignment, str(out / f"run_{idx:04d}")))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -13,8 +13,8 @@ Two steppers feed one recording loop.  With dt given, step i is one
 classical RK4 step ending at i dt, the last one at t_end.  With dt unset,
 the step size is error-controlled: a trial step is taken once whole and
 once as two halves, their difference over 15 estimates the local error
-of the halves (step doubling), and a trial whose error exceeds STEP_TOL
-is retried with a smaller step.  The right-hand side is bounded and the
+of the halves (step doubling), and a trial whose error exceeds STEP_TOL,
+or that goes non-finite, is retried with a smaller step.  The right-hand side is bounded and the
 trajectories stay smooth through wave breaking, so the step is limited by
 accuracy alone; a step the controller shrinks below t_end / MAX_STEPS
 stops the run with StepFailure instead of looping on.
@@ -33,7 +33,8 @@ in which the nodal sign pattern of rho changes or min|rho| first dips
 under breaking_eps, listing every label that changed sign; its time is
 known to within that step.  An error-controlled run records one event
 per label and sign change, timed at the root of that label's Hermite
-interpolant inside the step.
+interpolant inside the step; a step in which min|rho| first dips under
+breaking_eps without a sign change is an event at its end on both paths.
 """
 
 from __future__ import annotations
@@ -222,6 +223,10 @@ def _grid_time(i, steps, dt, t_end):
     return t_end if i == steps else i * dt
 
 
+def _finite(state):
+    return bool(np.isfinite(state.rho).all() and np.isfinite(state.rho_t).all() and math.isfinite(state.k0))
+
+
 def _fixed_steps(grid, state, ev, mu, cfg, dt, steps, uniform, record):
     """Step i of size dt ends at point i of the dt grid.  Yields each
     step's (state, evaluation)."""
@@ -229,7 +234,7 @@ def _fixed_steps(grid, state, ev, mu, cfg, dt, steps, uniform, record):
         dt_i = dt if (uniform or i < steps) else cfg.t_end - (steps - 1) * dt
         t_i = _grid_time(i, steps, dt, cfg.t_end)
         state = _advance(grid, state, mu, dt_i, ev, t_i)
-        if not (np.isfinite(state.rho).all() and np.isfinite(state.rho_t).all() and math.isfinite(state.k0)):
+        if not _finite(state):
             raise StepFailure(i, t_i, record)
         if cfg.projection:
             state = project(grid, state)
@@ -240,8 +245,8 @@ def _fixed_steps(grid, state, ev, mu, cfg, dt, steps, uniform, record):
 
 def _doubling_error(coarse, fine):
     """Local error of the two half steps over STEP_TOL: RK4 loses a factor
-    16 per halving, so the halves' error is (fine - coarse) / 15.  NaN when
-    either went non-finite."""
+    16 per halving, so the halves' error is (fine - coarse) / 15.  Both
+    must be finite."""
     gap = max(float(np.abs(fine.rho - coarse.rho).max()),
               float(np.abs(fine.rho_t - coarse.rho_t).max()),
               abs(fine.k0 - coarse.k0))
@@ -256,16 +261,23 @@ def _adaptive_steps(grid, state, ev, mu, cfg, h, record):
     t_end = cfg.t_end
     floor = t_end / MAX_STEPS
     t, accepted = 0.0, 0
+    finite = True
     while t < t_end:
         if h < floor:
-            raise StepFailure(accepted + 1, t, record, f"step {h:.3g} below the floor {floor:.3g}")
+            raise StepFailure(accepted + 1, t, record, f"step {h:.3g} below the floor {floor:.3g}"
+                              + ("" if finite else " after a non-finite trial"))
         t_new = t_end if t + h >= t_end else t + h
         h_try = t_new - t
         coarse = _advance(grid, state, mu, h_try, ev, t_new)
         half = _advance(grid, state, mu, 0.5 * h_try, ev, t + 0.5 * h_try)
-        fine = _advance(grid, half, mu, 0.5 * h_try, evaluate(grid, half, mu), t_new)
-        record.rhs_evaluations += 10
-        err = _doubling_error(coarse, fine)
+        record.rhs_evaluations += 6
+        # a non-finite trial is rejected like one with too large an error
+        finite = _finite(coarse) and _finite(half)
+        if finite:
+            fine = _advance(grid, half, mu, 0.5 * h_try, evaluate(grid, half, mu), t_new)
+            record.rhs_evaluations += 4
+            finite = _finite(fine)
+        err = _doubling_error(coarse, fine) if finite else math.inf
         if err <= 1.0:
             state = project(grid, fine) if cfg.projection else fine
             ev = evaluate(grid, state, mu)
@@ -275,7 +287,7 @@ def _adaptive_steps(grid, state, ev, mu, cfg, h, record):
             h = h_try * (_GROW if err == 0.0 else min(_GROW, _SAFETY * err ** -0.2))
         else:
             record.steps_rejected += 1
-            h = h_try * (max(_SHRINK, _SAFETY * err ** -0.2) if math.isfinite(err) else _SHRINK)
+            h = h_try * max(_SHRINK, _SAFETY * err ** -0.2)
 
 
 def _hermite_weights(s, h):
@@ -395,16 +407,16 @@ def evolve(grid: PeriodicGrid, state: LagrangianState, mu: float, cfg: Integrato
 
             now_positive = new.rho > 0.0
             flipped = now_positive != positive
-            if adaptive:
-                if flipped.any():
-                    record.events += _label_crossings(state, new, np.flatnonzero(flipped), row[3])
-            else:
-                now_in_band = abs(row[3]) < cfg.breaking_eps
-                if flipped.any() or (now_in_band and not in_band):
-                    crossed = np.flatnonzero(flipped)
-                    locs = crossed.tolist() if crossed.size else [row[8]]
-                    record.events.append(BreakingEvent(new.t, locs, row[3]))
-                in_band = now_in_band
+            now_in_band = abs(row[3]) < cfg.breaking_eps
+            if flipped.any():
+                crossed = np.flatnonzero(flipped)
+                if adaptive:
+                    record.events += _label_crossings(state, new, crossed, row[3])
+                else:
+                    record.events.append(BreakingEvent(new.t, crossed.tolist(), row[3]))
+            elif now_in_band and not in_band:
+                record.events.append(BreakingEvent(new.t, [row[8]], row[3]))
+            in_band = now_in_band
             positive = now_positive
 
             while snap <= steps and snap_t <= new.t:

@@ -345,6 +345,16 @@ def test_sweep_rejects_bad_swept_value_before_any_run(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_sweep_checks_every_snapshot_grid_before_any_run(tmp_path, capsys):
+    # the first point runs in no time; the second, with no run.dt, would
+    # need 3e14 snapshot points
+    cfg = write_cfg(tmp_path, "grid.n = 64\nsweep.run.t_end = 0.01 1e12\n")
+    out = tmp_path / "s"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out), "--workers", "1"]) == 1
+    assert capsys.readouterr().err.startswith("config error: the snapshot spacing default_dt = ")
+    assert not out.exists()
+
+
 def test_unknown_config_key_exits_1(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "nope = 1\n")
     code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "r")])

@@ -350,6 +350,63 @@ def test_adaptive_step_floor_stops_the_run(monkeypatch):
     assert exc.value.step == 1
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_adaptive_rejects_trials_with_non_finite_rho_t(monkeypatch, bad):
+    # rho stays finite and only rho_t goes bad, on every step longer than
+    # 0.01: those trials are rejected, and no accepted state is non-finite
+    import rhosphere.integrate as integrate
+
+    real = integrate._advance
+
+    def long_steps_break(grid, state, mu, dt, stage1, t):
+        new = real(grid, state, mu, dt, stage1, t)
+        return LagrangianState(new.rho, np.full(grid.n, bad), new.k0, t) if dt > 0.01 else new
+
+    monkeypatch.setattr(integrate, "_advance", long_steps_break)
+    grid, state, mu = initial_state(InitialSpec("sine", 64, amplitude=0.5))
+    with np.errstate(all="ignore"):
+        rec = evolve(grid, state, mu, IntegratorConfig(t_end=0.3, snapshot_stride=10))
+    assert rec.steps_rejected >= 1
+    assert np.diff(rec.series.t).max() <= 0.01
+    assert rec.series.t[-1] == 0.3
+    assert all(np.isfinite(col).all() for col in vars(rec.series).values())
+    assert all(np.isfinite(s.rho_t).all() for s in rec.snapshots)
+
+
+@pytest.mark.parametrize("field", ["rho", "rho_t"])
+def test_adaptive_step_floor_names_a_non_finite_trial(monkeypatch, field):
+    # every trial holds the same +inf, so the two trials' gap is NaN
+    import rhosphere.integrate as integrate
+
+    def broken(grid, state, mu, dt, stage1, t):
+        parts = {"rho": state.rho, "rho_t": state.rho_t, field: np.full(grid.n, np.inf)}
+        return LagrangianState(parts["rho"], parts["rho_t"], state.k0, t)
+
+    monkeypatch.setattr(integrate, "_advance", broken)
+    grid, state, mu = initial_state(InitialSpec("sine", 64, amplitude=0.5))
+    with np.errstate(all="ignore"), pytest.raises(StepFailure, match="below the floor .* after a non-finite trial") as exc:
+        evolve(grid, state, mu, IntegratorConfig(t_end=1.0))
+    assert exc.value.record.series.t.size == 1
+
+
+def test_adaptive_run_records_the_breaking_eps_band():
+    # min rho falls from 1 through 0.3 at t ~ 0.2 before any label changes
+    # sign at t ~ 0.275: both steppers record the band entry at the end of
+    # the step that made it, with the argmin label
+    grid, state, mu = initial_state(InitialSpec("sine", 64, amplitude=1.0))
+    runs = [evolve(grid, state, mu, IntegratorConfig(dt=dt, t_end=0.35, breaking_eps=0.3))
+            for dt in (None, 1e-3)]
+    for rec in runs:
+        band = rec.events[0]
+        assert 0.0 < band.min_rho < 0.3
+        assert band.time in rec.series.t
+        assert band.locations == [int(rec.series.argmin_rho[list(rec.series.t).index(band.time)])]
+        assert all(e.min_rho < 0.0 for e in rec.events[1:])
+    adaptive, fixed = runs
+    i = list(adaptive.series.t).index(adaptive.events[0].time)
+    assert adaptive.series.t[i - 1] < fixed.events[0].time <= adaptive.series.t[i]
+
+
 @pytest.mark.parametrize("dt,t_end", [(1e-300, 1.0), (1e-8, 1.0), (1e-3, float("nan")), (float("nan"), 1.0)])
 def test_evolve_rejects_runs_it_cannot_hold(dt, t_end):
     # 1e-300 once reached numpy as a (8, 1e300) allocation
