@@ -332,17 +332,20 @@ def test_adaptive_run_honours_projection(monkeypatch):
     assert np.max(off.series.sphere_defect) > 1e-13
 
 
-def test_adaptive_step_floor_stops_the_run(monkeypatch):
+@pytest.mark.parametrize("field,bad", [("rho", np.nan), ("rho_t", np.inf)])
+def test_adaptive_step_floor_stops_the_run(monkeypatch, field, bad):
     # every trial step goes non-finite: the step shrinks by 5x per
-    # rejection until it falls below t_end / MAX_STEPS
+    # rejection until it falls below t_end / MAX_STEPS.  With the same +inf
+    # in both trials' rho_t their gap is NaN, which must not pass as 0
     import rhosphere.integrate as integrate
 
     def broken(grid, state, mu, dt, stage1, t):
-        return LagrangianState(np.full(grid.n, np.nan), state.rho_t, state.k0, t)
+        parts = {"rho": state.rho, "rho_t": state.rho_t, field: np.full(grid.n, bad)}
+        return LagrangianState(parts["rho"], parts["rho_t"], state.k0, t)
 
     monkeypatch.setattr(integrate, "_advance", broken)
     grid, state, mu = initial_state(InitialSpec("sine", 64, amplitude=0.5))
-    with np.errstate(all="ignore"), pytest.raises(StepFailure, match="below the floor") as exc:
+    with np.errstate(all="ignore"), pytest.raises(StepFailure, match="below the floor .* after a non-finite trial") as exc:
         evolve(grid, state, mu, IntegratorConfig(t_end=1.0))
     rec = exc.value.record
     assert rec.series.t.size == 1
@@ -350,9 +353,8 @@ def test_adaptive_step_floor_stops_the_run(monkeypatch):
     assert exc.value.step == 1
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_adaptive_rejects_trials_with_non_finite_rho_t(monkeypatch, bad):
-    # rho stays finite and only rho_t goes bad, on every step longer than
+def test_adaptive_rejects_trials_with_non_finite_rho_t(monkeypatch):
+    # rho stays finite and only rho_t goes NaN, on every step longer than
     # 0.01: those trials are rejected, and no accepted state is non-finite
     import rhosphere.integrate as integrate
 
@@ -360,7 +362,7 @@ def test_adaptive_rejects_trials_with_non_finite_rho_t(monkeypatch, bad):
 
     def long_steps_break(grid, state, mu, dt, stage1, t):
         new = real(grid, state, mu, dt, stage1, t)
-        return LagrangianState(new.rho, np.full(grid.n, bad), new.k0, t) if dt > 0.01 else new
+        return LagrangianState(new.rho, np.full(grid.n, np.nan), new.k0, t) if dt > 0.01 else new
 
     monkeypatch.setattr(integrate, "_advance", long_steps_break)
     grid, state, mu = initial_state(InitialSpec("sine", 64, amplitude=0.5))
@@ -371,22 +373,6 @@ def test_adaptive_rejects_trials_with_non_finite_rho_t(monkeypatch, bad):
     assert rec.series.t[-1] == 0.3
     assert all(np.isfinite(col).all() for col in vars(rec.series).values())
     assert all(np.isfinite(s.rho_t).all() for s in rec.snapshots)
-
-
-@pytest.mark.parametrize("field", ["rho", "rho_t"])
-def test_adaptive_step_floor_names_a_non_finite_trial(monkeypatch, field):
-    # every trial holds the same +inf, so the two trials' gap is NaN
-    import rhosphere.integrate as integrate
-
-    def broken(grid, state, mu, dt, stage1, t):
-        parts = {"rho": state.rho, "rho_t": state.rho_t, field: np.full(grid.n, np.inf)}
-        return LagrangianState(parts["rho"], parts["rho_t"], state.k0, t)
-
-    monkeypatch.setattr(integrate, "_advance", broken)
-    grid, state, mu = initial_state(InitialSpec("sine", 64, amplitude=0.5))
-    with np.errstate(all="ignore"), pytest.raises(StepFailure, match="below the floor .* after a non-finite trial") as exc:
-        evolve(grid, state, mu, IntegratorConfig(t_end=1.0))
-    assert exc.value.record.series.t.size == 1
 
 
 def test_adaptive_run_records_the_breaking_eps_band():
