@@ -43,8 +43,9 @@ def main() -> None:
 
     mid = args.n // 2
     node_events = [e for e in rec.events if mid in e.locations]
-    print(f"{len(rec.events)} breaking events; first at t = {rec.events[0].time:.4f} "
-          f"(labels {sorted(rec.events[0].locations)[:2]}...)")
+    first = [e for e in rec.events if e.time - rec.events[0].time < 1e-9]
+    print(f"{len(rec.events)} breaking events, one per label and sign change; first at "
+          f"t = {rec.events[0].time:.4f} (labels {sorted(e.locations[0] for e in first)})")
     print(f"collision-node event at t = {node_events[0].time:.4f}")
 
     ok, margin = gronwall_check(rec, safety=0.5)

@@ -22,13 +22,9 @@ from .lagrangian import (
     apriori_bound,
     energy,
     evaluate,
-    flat_set_measure,
     kernel_fields,
     lagrangian_velocity,
     pressure,
-    state_defects,
-    vector_field,
-    velocity_offset,
 )
 from .integrate import (
     BreakingEvent,
@@ -37,22 +33,18 @@ from .integrate import (
     StepFailure,
     TimeSeries,
     default_dt,
-    detect_breaking,
     evolve,
     gronwall_check,
     project,
-    rk4_step,
 )
 from .reconstruct import (
     EulerianField,
     FlowMap,
     TestFunction,
     bump_test,
-    eulerian_energy,
     eulerian_velocity,
     field_energy,
     flow_map,
-    invert_flow,
     slope_field,
     smoothness_diagnostic,
     state_at,
@@ -89,22 +81,18 @@ __all__ = [
     "bump_test",
     "compare",
     "default_dt",
-    "detect_breaking",
     "energy",
-    "eulerian_energy",
     "eulerian_evolve",
     "eulerian_rhs",
     "eulerian_velocity",
     "evaluate",
     "evolve",
     "field_energy",
-    "flat_set_measure",
     "flow_map",
     "full_validation",
     "greens_function",
     "gronwall_check",
     "initial_state",
-    "invert_flow",
     "kernel_fields",
     "lagrangian_initial",
     "lagrangian_velocity",
@@ -114,14 +102,10 @@ __all__ = [
     "project",
     "random_state",
     "resample_profile",
-    "rk4_step",
     "run_identity_suite",
     "sample_trajectory",
     "slope_field",
     "smoothness_diagnostic",
     "state_at",
-    "state_defects",
-    "vector_field",
-    "velocity_offset",
     "weak_residual",
 ]

@@ -309,7 +309,6 @@ def _load(args) -> RunConfig:
     if getattr(args, "t_end", None) is not None:
         overrides["run.t_end"] = args.t_end
     if getattr(args, "seed", None) is not None:
-        overrides["seed"] = args.seed
         overrides["validate.seed"] = args.seed
     return cfg.with_values(overrides) if overrides else cfg
 
@@ -328,11 +327,11 @@ def main(argv=None) -> int:
         p.add_argument("--n", type=int, help="override grid size")
         p.add_argument("--dt", type=float, help="override time step")
         p.add_argument("--t-end", type=float, help="override final time")
-        p.add_argument("--seed", type=int, help="override random seed")
 
     common(sub.add_parser("simulate", help="run the label-space solver"), out_required=True)
     val = sub.add_parser("validate", help="run the self-check battery")
     common(val)
+    val.add_argument("--seed", type=int, help="override validate.seed")
     val.add_argument("--flip-h-sign", action="store_true", help=argparse.SUPPRESS)
     common(sub.add_parser("compare", help="run both solvers and report their distance"))
     swp = sub.add_parser("sweep", help="Cartesian-product parameter sweep")

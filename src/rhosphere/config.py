@@ -27,7 +27,6 @@ _BOOLS = {"true": True, "false": False, "yes": True, "no": False, "on": True, "o
 # key -> element type; a tuple marks a whitespace-separated list of that type
 SCHEMA: dict[str, object] = {
     "grid.n": int,
-    "seed": int,
     "run.dt": float,
     "run.t_end": float,
     "run.projection": bool,
@@ -56,7 +55,6 @@ SCHEMA: dict[str, object] = {
 
 DEFAULTS: dict[str, object] = {
     "grid.n": 256,
-    "seed": 2026,
     "run.t_end": 1.0,
     "run.projection": True,
     "run.snapshot_stride": 100,

@@ -79,19 +79,6 @@ class PeriodicGrid:
         """Trapezoid quadrature over the period, (1/n) * sum(w)."""
         return float(np.mean(self.check(w)))
 
-    def cumint(self, w) -> np.ndarray:
-        """Running trapezoid integral, anchored so the first node is 0.
-
-        The full-period total (last entry plus the closing panel) equals
-        quad(w) exactly.
-        """
-        w = self.check(w)
-        out = np.empty(self.n)
-        out[0] = 0.0
-        np.cumsum(0.5 * (w[:-1] + w[1:]), out=out[1:])
-        out[1:] *= self.h
-        return out
-
     def cumint_spectral(self, w) -> np.ndarray:
         """Running integral of the trigonometric interpolant, anchored at 0.
 

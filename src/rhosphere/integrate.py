@@ -28,13 +28,13 @@ and the offset of the evaluations at both ends of the step.
 
 Wave breaking shows up as rho passing through zero at some labels.  That
 is a regular event for this system, not a failure, and the run continues
-through it.  A fixed-step run records an event at the end of every step
-in which the nodal sign pattern of rho changes or min|rho| first dips
-under breaking_eps, listing every label that changed sign; its time is
-known to within that step.  An error-controlled run records one event
-per label and sign change, timed at the root of that label's Hermite
-interpolant inside the step; a step in which min|rho| first dips under
-breaking_eps without a sign change is an event at its end on both paths.
+through it.  Both steppers record one event per label and sign change,
+timed at the root of that label's cubic Hermite interpolant inside the
+step, so the events of a run do not depend on its steps.  The loop keeps
+only each such label's rho and rho_t at both ends of the step; the roots
+of the whole run are found together when it ends, or when it stops early.
+A step in which min|rho| first dips under breaking_eps without a sign
+change is an event at its end.
 """
 
 from __future__ import annotations
@@ -71,8 +71,10 @@ class IntegratorConfig:
 
 @dataclass
 class BreakingEvent:
-    """Sign change (or near-vanishing) of rho, with the minimum of rho at
-    the end of the step it was found in."""
+    """One label's rho changing sign, at the root of its Hermite
+    interpolant, or min|rho| first entering the breaking_eps band, at the
+    end of the step with the argmin label; locations holds that label.
+    min_rho is the minimum of rho at the end of the step."""
 
     time: float
     locations: list[int]
@@ -212,11 +214,6 @@ def _advance(grid, state, mu, dt, stage1, t):
     return LagrangianState(acc[0], acc[1], k0, t)
 
 
-def rk4_step(grid: PeriodicGrid, state: LagrangianState, mu: float, dt: float) -> LagrangianState:
-    """Classical RK4 step of the full (rho, rho_t, k0) system."""
-    return _advance(grid, state, mu, dt, evaluate(grid, state, mu), state.t + dt)
-
-
 def _grid_time(i, steps, dt, t_end):
     """Point i of the dt grid: i dt, and t_end for the last one.  A running
     sum of steps would drift off both by round-off."""
@@ -307,23 +304,41 @@ def _dense_state(grid, a, ev_a, b, ev_b, t, projection):
     return project(grid, mid) if projection else mid
 
 
-def _label_crossings(a, b, labels, min_rho):
-    """One event per label in labels, whose rho changes sign from a to b,
-    at the root of its Hermite interpolant (bisection to round-off)."""
-    h = b.t - a.t
-    ya, yb = a.rho[labels], b.rho[labels]
-    ma, mb = a.rho_t[labels], b.rho_t[labels]
-    up = ya > 0.0
-    lo, hi = np.zeros(labels.size), np.ones(labels.size)
-    for _ in range(53):
-        s = 0.5 * (lo + hi)
-        wa, wb, da, db = _hermite_weights(s, h)
-        same = (wa * ya + wb * yb + da * ma + db * mb > 0.0) == up
-        lo = np.where(same, s, lo)
-        hi = np.where(same, hi, s)
-    times = a.t + 0.5 * (lo + hi) * h
-    order = np.argsort(times, kind="stable")
-    return [BreakingEvent(float(times[j]), [int(labels[j])], min_rho) for j in order]
+def _label_crossings(brackets):
+    """The run's events, from its brackets in step order.
+
+    A bracket (t_a, t_b, min_rho, labels, ends) holds the labels whose rho
+    changed sign over the step from t_a to t_b, ends stacking their rho
+    at t_a and t_b, then their rho_t at t_a and t_b.  Each is an event at
+    the root of its Hermite interpolant, all brackets bisected together to
+    round-off.  ends None marks a band entry, an event at t_b.  Events keep
+    step order, and the labels of one step go by time.
+    """
+    crossing = [b for b in brackets if b[4] is not None]
+    if crossing:
+        ya, yb, ma, mb = np.concatenate([b[4] for b in crossing], axis=1)
+        sizes = [len(b[3]) for b in crossing]
+        t_a = np.repeat([b[0] for b in crossing], sizes)
+        h = np.repeat([b[1] - b[0] for b in crossing], sizes)
+        up = ya > 0.0
+        lo, hi = np.zeros(ya.size), np.ones(ya.size)
+        for _ in range(53):
+            s = 0.5 * (lo + hi)
+            wa, wb, da, db = _hermite_weights(s, h)
+            same = (wa * ya + wb * yb + da * ma + db * mb > 0.0) == up
+            lo = np.where(same, s, lo)
+            hi = np.where(same, hi, s)
+        times = t_a + 0.5 * (lo + hi) * h
+    events, k = [], 0
+    for _, t_b, min_rho, labels, ends in brackets:
+        if ends is None:
+            events.append(BreakingEvent(t_b, list(labels), min_rho))
+            continue
+        step_times = times[k:k + len(labels)]
+        k += len(labels)
+        events += [BreakingEvent(float(step_times[j]), [int(labels[j])], min_rho)
+                   for j in np.argsort(step_times, kind="stable")]
+    return events
 
 
 class _Rows:
@@ -392,6 +407,7 @@ def evolve(grid: PeriodicGrid, state: LagrangianState, mu: float, cfg: Integrato
     record.snapshot_steps.append(0)
     in_band = abs(row[3]) < cfg.breaking_eps
     positive = state.rho > 0.0
+    brackets = []
     # next snapshot: every stride-th point of the dt grid, and the last
     snap = min(cfg.snapshot_stride, steps)
     snap_t = _grid_time(snap, steps, dt, cfg.t_end)
@@ -410,12 +426,10 @@ def evolve(grid: PeriodicGrid, state: LagrangianState, mu: float, cfg: Integrato
             now_in_band = abs(row[3]) < cfg.breaking_eps
             if flipped.any():
                 crossed = np.flatnonzero(flipped)
-                if adaptive:
-                    record.events += _label_crossings(state, new, crossed, row[3])
-                else:
-                    record.events.append(BreakingEvent(new.t, crossed.tolist(), row[3]))
+                ends = np.stack((state.rho[crossed], new.rho[crossed], state.rho_t[crossed], new.rho_t[crossed]))
+                brackets.append((state.t, new.t, row[3], crossed, ends))
             elif now_in_band and not in_band:
-                record.events.append(BreakingEvent(new.t, [row[8]], row[3]))
+                brackets.append((state.t, new.t, row[3], [row[8]], None))
             in_band = now_in_band
             positive = now_positive
 
@@ -427,30 +441,10 @@ def evolve(grid: PeriodicGrid, state: LagrangianState, mu: float, cfg: Integrato
                 snap_t = _grid_time(snap, steps, dt, cfg.t_end)
             state, ev = new, new_ev
     finally:
-        # a StepFailure carries the record with the rows so far
+        # a StepFailure carries the record with the rows and events so far
         record.series = rows.series()
+        record.events = _label_crossings(brackets)
     return record
-
-
-def detect_breaking(record: SimulationRecord) -> list[BreakingEvent]:
-    """Re-derive events from the recorded minimum-of-rho series.
-
-    Each event time is the end of the step across which min rho changed
-    sign (or first entered the breaking_eps band), so it is bracketed by
-    the adjacent series rows.  Locations carry the argmin node only, since
-    the full sign pattern lives in snapshots, not the series.
-    """
-    s = record.series
-    eps = record.config.breaking_eps
-    out = []
-    in_band = abs(s.min_rho[0]) < eps
-    for i in range(1, len(s.t)):
-        flipped = (s.min_rho[i - 1] > 0.0) != (s.min_rho[i] > 0.0)
-        now_in = abs(s.min_rho[i]) < eps
-        if flipped or (now_in and not in_band):
-            out.append(BreakingEvent(float(s.t[i]), [int(s.argmin_rho[i])], float(s.min_rho[i])))
-        in_band = now_in
-    return out
 
 
 def gronwall_check(record: SimulationRecord, safety: float = 0.5) -> tuple[bool, float]:

@@ -15,8 +15,8 @@ breaking; nothing here ever divides by rho.
 
 Definitions, writing P(x) = int_0^x rho^2 and w = rho^2 vel^2 + 2 rho_t^2:
 
-    offset  = mu - quad(cumint(2 rho rho_t) * rho^2)
     vel(x)  = int_0^x 2 rho rho_t dy + offset
+    offset  = mu - quad((vel - offset) * rho^2)
     press(x) = int_0^1 cosh(|P(x)-P(y)| - 1/2) / (2 sinh 1/2) * w(y) dy
 
 press equals the physical pressure composed with the flow map, and the
@@ -96,13 +96,6 @@ class LagrangianState:
 
     def copy(self) -> "LagrangianState":
         return LagrangianState(self.rho.copy(), self.rho_t.copy(), self.k0, self.t)
-
-
-def state_defects(grid: PeriodicGrid, state: LagrangianState) -> tuple[float, float]:
-    """Sphere and tangency defects, |quad(rho^2) - 1| and |quad(rho rho_t)|."""
-    sphere = abs(grid.quad(state.rho * state.rho) - 1.0)
-    tangency = abs(grid.quad(state.rho * state.rho_t))
-    return sphere, tangency
 
 
 def _exp_partials_fast(grid, p_tilde, alpha, w):
@@ -220,12 +213,6 @@ def _kernel_pair(grid, rho2, w, mode):
 
 def _source_density(state, vel):
     return state.rho**2 * vel**2 + 2.0 * state.rho_t**2
-
-
-def velocity_offset(grid: PeriodicGrid, state: LagrangianState, mu: float) -> float:
-    """Integration constant pinning quad(vel * rho^2) to the mean velocity mu."""
-    run = grid.cumint_spectral(2.0 * state.rho * state.rho_t)
-    return mu - grid.quad(run * state.rho**2)
 
 
 def lagrangian_velocity(grid: PeriodicGrid, state: LagrangianState, mu: float) -> np.ndarray:
@@ -348,12 +335,6 @@ def evaluate(grid: PeriodicGrid, state: LagrangianState, mu: float, mode: str = 
     return FieldEval(vel, press, offset, slope, gap, rho2, rho_t2, w, alpha, flux)
 
 
-def vector_field(grid: PeriodicGrid, state: LagrangianState, mu: float):
-    """Time derivative (drho, drho_t, dk0) of the state."""
-    ev = evaluate(grid, state, mu)
-    return ev.drho, ev.drho_t, ev.dk0
-
-
 def energy(grid: PeriodicGrid, state: LagrangianState, mu: float) -> float:
     """Conserved energy quad(rho^2 vel^2 + 4 rho_t^2); the H1 norm of the
     initial velocity profile at t = 0."""
@@ -373,7 +354,3 @@ def apriori_bound(grid: PeriodicGrid, state: LagrangianState) -> float:
     nt = np.sqrt(grid.quad(state.rho_t**2))
     return 2.0 * nr * nt + (2.0 * nr**3 * nt + nt**2) / (4.0 * HALF_SINH)
 
-
-def flat_set_measure(grid: PeriodicGrid, state: LagrangianState, eps: float) -> float:
-    """Fraction of nodes where rho^2 < eps (degenerate flow-map slope)."""
-    return float(np.count_nonzero(state.rho**2 < eps)) / grid.n

@@ -205,8 +205,9 @@ def sample_trajectory(traj: EulerianTrajectory, t: float) -> np.ndarray:
 def compare(record, mu: float, traj: EulerianTrajectory, t: float, m: int) -> tuple[float, float]:
     """Distance at time t between the reconstructed velocity and this solver's.
 
-    Both trajectories are sampled at t (linear in time between snapshots)
-    and brought onto a common m-node physical grid.  Times beyond either
+    Both trajectories are sampled at t (the label run by `state_at`, this
+    one linearly in time between its snapshots) and brought onto a common
+    m-node physical grid.  Times beyond either
     trajectory, in particular past a reported blowup, are rejected.
     """
     from .reconstruct import eulerian_velocity, state_at

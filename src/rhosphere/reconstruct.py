@@ -33,7 +33,8 @@ from typing import Callable
 import numpy as np
 
 from .grid import PeriodicGrid
-from .lagrangian import LagrangianState, energy, kernel_fields, lagrangian_velocity
+from .integrate import _dense_state
+from .lagrangian import LagrangianState, evaluate, kernel_fields, lagrangian_velocity
 
 FLAT_EPS_REL = 1e-8
 SLOPE_CLAMP = 1.0 / FLAT_EPS_REL
@@ -135,10 +136,6 @@ def flow_map(grid: PeriodicGrid, state: LagrangianState, flat_eps: float | None 
     return FlowMap(grid, state.k0, knots, intervals, cell_mid)
 
 
-def invert_flow(fmap: FlowMap, y) -> np.ndarray:
-    return fmap.invert(y)
-
-
 @dataclass
 class EulerianField:
     """Velocity sampled on a uniform physical grid at one instant."""
@@ -192,16 +189,6 @@ def eulerian_velocity(
     ux, _, _ = _interp_nodes(slopes, x, grid.n)
     valid = node_ok[j] & node_ok[jp] & np.isnan(fmap._cell_mid[j])
     return EulerianField(state.t, y, u, np.clip(ux, -SLOPE_CLAMP, SLOPE_CLAMP), valid)
-
-
-def eulerian_energy(grid: PeriodicGrid, state: LagrangianState, mu: float) -> float:
-    """H^1 energy of the physical velocity, evaluated in label variables.
-
-    The change of variables keeps this finite through breaking, which is
-    the whole point; the same number computed from a sampled field is
-    field_energy below, and the two agree away from degeneracies.
-    """
-    return energy(grid, state, mu)
 
 
 def field_energy(field: EulerianField, valid_only: bool = True) -> float:
@@ -271,9 +258,11 @@ def bump_test(center: float, width: float, t0: float, t1: float) -> TestFunction
 
 
 def state_at(record, t: float) -> LagrangianState:
-    """State at time t, linear in time between bracketing snapshots.
+    """State at time t, from the cubic Hermite interpolant between the
+    bracketing snapshots, the one `evolve` uses inside a step; its slopes
+    come from evaluating the fields at both snapshots.
 
-    The interpolant drifts off the constraint manifold at second order in
+    The interpolant drifts off the constraint manifold at fourth order in
     the snapshot spacing, so it is projected back; without that the
     reconstructed velocity picks up a spurious non-periodic part.
     """
@@ -288,16 +277,8 @@ def state_at(record, t: float) -> LagrangianState:
         return a
     if t == b.t:
         return b
-    th = (t - a.t) / (b.t - a.t)
-    mid = LagrangianState(
-        (1.0 - th) * a.rho + th * b.rho,
-        (1.0 - th) * a.rho_t + th * b.rho_t,
-        (1.0 - th) * a.k0 + th * b.k0,
-        t,
-    )
-    from .integrate import project
-
-    return project(PeriodicGrid(mid.rho.size), mid)
+    grid = PeriodicGrid(a.rho.size)
+    return _dense_state(grid, a, evaluate(grid, a, record.mu), b, evaluate(grid, b, record.mu), t, True)
 
 
 def weak_residual(
@@ -312,7 +293,7 @@ def weak_residual(
 
     The fields are reconstructed on m uniform physical nodes at `times`
     uniformly spaced instants inside the test support (states between
-    snapshots are interpolated linearly in time); the integral uses the
+    snapshots come from `state_at`); the integral uses the
     grid mean in space and the trapezoid rule in time, whose endpoint
     values vanish by compact support.  For a genuine weak solution the
     value tends to zero under refinement.

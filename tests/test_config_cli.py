@@ -31,7 +31,7 @@ def test_parse_config_types_and_comments(tmp_path):
         "initial.cos_coeffs = 0.1 -0.2",
         "compare.times = 0.25 0.5",
         "",
-        "seed = 7",
+        "validate.seed = 7",
     ]))
     cfg = parse_config(path)
     assert cfg.values["grid.n"] == 96
@@ -39,7 +39,7 @@ def test_parse_config_types_and_comments(tmp_path):
     assert cfg.values["run.projection"] is False
     assert cfg.values["initial.cos_coeffs"] == (0.1, -0.2)
     assert cfg.values["compare.times"] == (0.25, 0.5)
-    assert cfg.values["seed"] == 7
+    assert cfg.values["validate.seed"] == 7
     assert cfg.sweep == {}
 
 
@@ -318,13 +318,14 @@ def test_simulate_requires_out(tmp_path):
     "initial.wavenumber = 0",
     "initial.wavenumber = 32",
     "initial.kind = fourier\ninitial.sin_coeffs = " + " ".join(["0.1"] * 32),
+    "seed = 7",
 ])
 def test_bad_run_inputs_exit_1(tmp_path, capsys, line):
     # checked where the config becomes an initial spec and an integrator
     # config, so every command that runs the solver rejects them
     cfg = write_cfg(tmp_path, f"grid.n = 64\nrun.t_end = 0.01\n{line}\n")
     swept = write_cfg(tmp_path, f"grid.n = 64\nrun.t_end = 0.01\n{line}\n"
-                      "sweep.seed = 1 2\n", name="sweep.cfg")
+                      "sweep.run.projection = true false\n", name="sweep.cfg")
     for argv in (["simulate", "--config", str(cfg), "--out", str(tmp_path / "r")],
                  ["compare", "--config", str(cfg)],
                  ["sweep", "--config", str(swept), "--out", str(tmp_path / "s"),

@@ -13,15 +13,14 @@ from rhosphere import (
     PeriodicGrid,
     StepFailure,
     default_dt,
-    detect_breaking,
     energy,
+    evaluate,
     evolve,
     gronwall_check,
     initial_state,
     lagrangian_velocity,
     pressure,
     project,
-    rk4_step,
 )
 from rhosphere.integrate import MAX_STEPS, step_count
 from rhosphere.validate import random_state
@@ -106,26 +105,67 @@ def test_evolve_ends_exactly_at_t_end(dt, t_end):
 
 
 def test_first_breaking_event_peakon_frozen():
-    # steep antisymmetric pair; the first sign change of rho shows up just
-    # inside the crests, at a time stable under grid refinement
+    # steep antisymmetric pair; the first sign changes of rho show up just
+    # inside the crests, one label on each side, at one time that is
+    # stable under grid refinement (measured 1.2638010952698489, the two
+    # roots 9e-15 apart)
     grid, state, mu = initial_state(InitialSpec("peakon_pair", 256, p=2.0))
     rec = evolve(grid, state, mu, IntegratorConfig(dt=4e-4, t_end=1.35))
-    assert rec.events, "expected a breaking event by t = 1.35"
-    ev = rec.events[0]
-    assert ev.time == pytest.approx(1.264, abs=2e-3)
-    assert sorted(ev.locations) == [65, 191]
+    assert len(rec.events) >= 2, "expected breaking events by t = 1.35"
+    first, second = rec.events[:2]
+    assert sorted(first.locations + second.locations) == [65, 191]
+    assert first.time == pytest.approx(1.264, abs=2e-3)
+    assert abs(second.time - first.time) <= 1e-13
+    # a root, not a step end
+    assert first.time not in rec.series.t
     assert rec.energy_drift < 1e-5
     ok, margin = gronwall_check(rec)
     assert ok
     assert margin >= 1.0
 
 
-def test_detect_breaking_rebuilds_event_list():
-    grid, state, mu = initial_state(InitialSpec("peakon_pair", 256, p=2.0))
-    rec = evolve(grid, state, mu, IntegratorConfig(dt=4e-4, t_end=1.35))
-    rebuilt = detect_breaking(rec)
-    assert [e.time for e in rebuilt] == [e.time for e in rec.events]
-    assert [e.min_rho for e in rebuilt] == [e.min_rho for e in rec.events]
+def test_crossing_set_does_not_depend_on_dt():
+    # one event per label and sign change at the root of its Hermite
+    # interpolant: the same 511 labels at a 16x range of steps, and times
+    # that agree to round-off (measured 2.0e-13 between the first two
+    # steps, 2.9e-12 to the third).  Merging the labels of a step into one
+    # event gave 80, 43 and 22 events
+    grid, state, mu = initial_state(InitialSpec("peakon_pair", 1024, p=2.0))
+    crossings = []
+    for dt in (4.8828125e-4, 2e-3, 8e-3):
+        rec = evolve(grid, state, mu, IntegratorConfig(dt=dt, t_end=2.4, snapshot_stride=10**6))
+        assert all(len(e.locations) == 1 for e in rec.events)
+        times = [e.time for e in rec.events]
+        assert times == sorted(times)
+        crossings.append({e.locations[0]: e.time for e in rec.events})
+    for c in crossings:
+        assert len(c) == 511
+        assert c.keys() == crossings[0].keys()
+    fine, mid, _ = crossings
+    assert max(abs(fine[j] - mid[j]) for j in fine) <= 1e-12
+
+
+def test_step_failure_keeps_its_crossings(monkeypatch):
+    # the unit sine changes sign at t ~ 0.275; the run then goes non-finite
+    # at t > 0.3, and the record attached to the failure holds the
+    # crossings timed inside their steps
+    import rhosphere.integrate as integrate
+
+    real = integrate._advance
+
+    def late_nan(grid, state, mu, dt, stage1, t):
+        new = real(grid, state, mu, dt, stage1, t)
+        return LagrangianState(np.full(grid.n, np.nan), new.rho_t, new.k0, t) if t > 0.3 else new
+
+    monkeypatch.setattr(integrate, "_advance", late_nan)
+    grid, state, mu = initial_state(InitialSpec("sine", 64, amplitude=1.0))
+    with np.errstate(all="ignore"), pytest.raises(StepFailure) as exc:
+        evolve(grid, state, mu, IntegratorConfig(dt=1e-3, t_end=0.5))
+    rec = exc.value.record
+    assert rec.series.t[-1] == pytest.approx(0.3)
+    assert rec.events
+    assert all(len(e.locations) == 1 and e.min_rho < 0.0 for e in rec.events)
+    assert all(0.2 < e.time < 0.3 and e.time not in rec.series.t for e in rec.events)
 
 
 def test_step_failure_carries_partial_record():
@@ -156,12 +196,27 @@ def test_project_rejects_zero_state():
 
 
 def test_rk4_step_matches_evolve_single_step():
+    # an unprojected step of evolve is one classical RK4 step of evaluate
     grid, state, mu = initial_state(InitialSpec("sine", 64, amplitude=0.4))
-    one = rk4_step(grid, state, mu, 1e-3)
-    rec = evolve(grid, state, mu, IntegratorConfig(dt=1e-3, t_end=1e-3, projection=False))
+    dt = 1e-3
+
+    def stage(h, k):
+        return LagrangianState(state.rho + h * k[0], state.rho_t + h * k[1], state.k0 + h * k[2], state.t + h)
+
+    def slope(st):
+        ev = evaluate(grid, st, mu)
+        return ev.drho, ev.drho_t, ev.offset
+
+    k1 = slope(state)
+    k2 = slope(stage(0.5 * dt, k1))
+    k3 = slope(stage(0.5 * dt, k2))
+    k4 = slope(stage(dt, k3))
+    one = stage(dt / 6.0, [a + 2.0 * b + 2.0 * c + d for a, b, c, d in zip(k1, k2, k3, k4)])
+    rec = evolve(grid, state, mu, IntegratorConfig(dt=dt, t_end=dt, projection=False))
     assert_allclose(one.rho, rec.snapshots[-1].rho, rtol=0, atol=1e-15)
     assert_allclose(one.rho_t, rec.snapshots[-1].rho_t, rtol=0, atol=1e-15)
-    assert one.t == pytest.approx(1e-3)
+    assert one.k0 == pytest.approx(rec.snapshots[-1].k0, abs=1e-15)
+    assert rec.snapshots[-1].t == dt
 
 
 def _reference_rk4(grid, state, mu, dt, steps):

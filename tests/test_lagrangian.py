@@ -9,20 +9,18 @@ from numpy.testing import assert_allclose
 
 from rhosphere import (
     InitialSpec,
+    IntegratorConfig,
     LagrangianState,
     PeriodicGrid,
     apriori_bound,
     energy,
     evaluate,
-    flat_set_measure,
+    evolve,
     initial_state,
     kernel_fields,
     lagrangian_velocity,
     make_initial,
     pressure,
-    state_defects,
-    vector_field,
-    velocity_offset,
 )
 from rhosphere.lagrangian import _exp_partials_direct, _source_density, _warp
 from rhosphere.validate import random_state
@@ -33,11 +31,12 @@ def on_sphere(grid, seed, amp_rho=0.3, amp_rho_t=0.5):
 
 
 def test_state_defects_on_clean_state():
+    # the sphere and tangency defects are |alpha - 1| and |flux| / 2
     grid = PeriodicGrid(64)
     state = LagrangianState(np.ones(64), np.zeros(64), 0.0, 0.0)
-    sphere, tang = state_defects(grid, state)
-    assert sphere == 0.0
-    assert tang == 0.0
+    ev = evaluate(grid, state, 0.0)
+    assert ev.alpha == 1.0
+    assert ev.flux == 0.0
 
 
 def test_velocity_reproduces_initial_profile():
@@ -67,7 +66,7 @@ def test_velocity_offset_is_first_node_value():
     grid = PeriodicGrid(64)
     state = on_sphere(grid, 9)
     mu = -0.2
-    c = velocity_offset(grid, state, mu)
+    c = evaluate(grid, state, mu).offset
     vel = lagrangian_velocity(grid, state, mu)
     assert abs(c - vel[0]) < 1e-13
 
@@ -221,10 +220,6 @@ def test_evaluate_bundles_consistent_fields():
     # acceleration is half rho times (vel^2 - press)
     assert_allclose(ev.drho_t, 0.5 * state.rho * (ev.vel**2 - ev.press),
                     rtol=0, atol=1e-13)
-    dr, drt, dk = vector_field(grid, state, mu)
-    assert_allclose(dr, ev.drho, rtol=0, atol=0)
-    assert_allclose(drt, ev.drho_t, rtol=0, atol=0)
-    assert dk == ev.dk0
 
 
 def test_evaluate_off_sphere_matches_public_routes():
@@ -278,12 +273,14 @@ def test_apriori_bound_positive_and_monotone_in_rho_t():
 
 
 def test_flat_set_measure():
+    # the flat_measure series: the share of labels with |rho| under breaking_eps
     grid = PeriodicGrid(64)
     rho = np.ones(64)
     rho[10:14] = 1e-9
     state = LagrangianState(rho, np.zeros(64), 0.0, 0.0)
-    assert flat_set_measure(grid, state, 1e-6) == 4 / 64
-    assert flat_set_measure(grid, state, 1e-20) == 0.0
+    for eps, share in ((1e-6, 4 / 64), (1e-10, 0.0)):
+        rec = evolve(grid, state, 0.0, IntegratorConfig(dt=1e-3, t_end=0.0, breaking_eps=eps))
+        assert rec.series.flat_measure.tolist() == [share]
 
 
 @settings(max_examples=20, deadline=None)
