@@ -29,7 +29,7 @@ from . import __version__
 from .config import DEFAULTS, ConfigError, RunConfig, parse_config
 from .grid import PeriodicGrid
 from .integrate import SimulationRecord, StepFailure, StepLimitError, default_dt, evolve, step_count
-from .lagrangian import H_CONVENTION_NOTE, lagrangian_velocity
+from .lagrangian import H_CONVENTION_NOTE, energy, lagrangian_velocity
 from .oracle import compare as compare_at
 from .oracle import eulerian_evolve
 from .reconstruct import flow_map, slope_field
@@ -117,10 +117,18 @@ def _write_metadata(out: Path, command: str, cfg: RunConfig, record: SimulationR
 
 
 def _build_run(cfg: RunConfig):
+    """Grid, lifted initial state and mean velocity of a run.  A finite but
+    huge profile can overflow u0, u0x or the energy every run starts from;
+    that is a ConfigError, as is any profile the lift rejects."""
     spec = cfg.initial_spec()
     grid = PeriodicGrid(spec.n)
-    u0, u0x, mu = make_initial(spec)
-    state = lagrangian_initial(grid, u0, u0x)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            u0, u0x, mu = make_initial(spec)
+            state = lagrangian_initial(grid, u0, u0x)
+            energy(grid, state, mu)
+    except ValueError as exc:
+        raise ConfigError(f"initial profile {spec.kind!r} is unusable: {exc}") from None
     return grid, state, mu
 
 
@@ -254,10 +262,8 @@ def run_sweep(cfg: RunConfig, out: Path, workers: int) -> int:
         assignment = dict(zip(keys, combo))
         # reject a bad swept value before any run starts
         run_cfg = cfg.with_values(assignment)
-        run_cfg.initial_spec()
         icfg = run_cfg.integrator_config()
-        if icfg.dt is None:
-            _check_snapshot_grid(*_build_run(run_cfg), icfg)
+        _check_snapshot_grid(*_build_run(run_cfg), icfg)
         payloads.append((cfg.values, assignment, str(out / f"run_{idx:04d}")))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -8,6 +8,7 @@ so spectral transforms stay exact and cheap.
 from __future__ import annotations
 
 import numpy as np
+from numpy.fft import _pocketfft_umath as _pocketfft
 
 _TWO_PI = 2.0 * np.pi
 
@@ -49,7 +50,7 @@ class PeriodicGrid:
         self._inv_n = 1.0 / n
         # spectral antiderivative with the zero mode dropped, and with the
         # 1/n of the inverse transform folded in (exact: n is a power of
-        # two), so that irfft runs unnormalised (norm="forward")
+        # two), so that _irfft runs unnormalised
         inv = np.zeros(n // 2 + 1, dtype=complex)
         inv[1:] = 1.0 / (n * self._ik[1:])
         self._inv_ik = inv
@@ -89,11 +90,25 @@ class PeriodicGrid:
         """
         return self._antideriv(self.check(w))
 
+    def _rfft(self, a: np.ndarray, out: np.ndarray) -> np.ndarray:
+        # np.fft.rfft(a) on the last axis, written into out: the gufunc that
+        # np.fft calls, with its factor 1, minus the per-call cost of the
+        # np.fft wrapper; n is a power of two, so always even
+        return _pocketfft.rfft_n_even(a, 1.0, out=out)
+
+    def _irfft(self, spec: np.ndarray, out: np.ndarray) -> np.ndarray:
+        # np.fft.irfft(spec, n, norm="forward") on the last axis, written
+        # into out (which fixes n): the unnormalised inverse, factor 1
+        return _pocketfft.irfft(spec, 1.0, out=out)
+
     def _antideriv(self, w: np.ndarray) -> np.ndarray:
         # unvalidated cumint_spectral, for callers whose arrays are already
-        # known to be finite grid functions
+        # known to be finite grid functions; the transforms run in the
+        # first rows of the work buffers, and the result is a new array
         mean = w.sum() * self._inv_n
-        anti = np.fft.irfft(np.fft.rfft(w - mean) * self._inv_ik, self.n, norm="forward")
+        spec = self._rfft(w - mean, self._spec_work[0])
+        spec *= self._inv_ik
+        anti = self._irfft(spec, self._real_work[0])
         return mean * self.x + (anti - anti[0])
 
     def _antideriv_pair(self, ab: np.ndarray):
@@ -102,11 +117,11 @@ class PeriodicGrid:
         # The zero mode carries the means, and _inv_ik drops it, so nothing
         # is subtracted up front; the rows are not yet anchored at 0.  The
         # result lives in a work buffer that the next call overwrites.
-        spec = np.fft.rfft(ab, axis=1, out=self._spec_work)
+        spec = self._rfft(ab, self._spec_work)
         mean_a = float(spec[0, 0].real) * self._inv_n
         mean_b = float(spec[1, 0].real) * self._inv_n
         spec *= self._inv_ik
-        anti = np.fft.irfft(spec, self.n, axis=1, norm="forward", out=self._real_work)
+        anti = self._irfft(spec, self._real_work)
         return anti, mean_a, mean_b
 
     def deriv(self, w, scheme: str = "spectral") -> np.ndarray:

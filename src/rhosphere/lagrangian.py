@@ -117,12 +117,12 @@ def _exp_partials_fast(grid, p_tilde, alpha, w):
     buf = np.empty((2, n))
     np.multiply(et, w, out=buf[0])
     np.divide(w, et, out=buf[1])
-    spec = np.fft.rfft(buf, axis=1, out=grid._spec_work)
+    spec = grid._rfft(buf, grid._spec_work)
     den = grid._den_work
     np.add(grid._n_ik, n * alpha, out=den[0])
     np.subtract(grid._n_ik, n * alpha, out=den[1])
     spec /= den
-    up, vm = np.fft.irfft(spec, n, axis=1, norm="forward", out=grid._real_work)
+    up, vm = grid._irfft(spec, grid._real_work)
     up0, vm0 = float(up[0]), float(vm[0])
     ep_full = (np.exp(alpha) - 1.0) * up0
     em_full = (np.exp(-alpha) - 1.0) * vm0
@@ -221,14 +221,16 @@ def lagrangian_velocity(grid: PeriodicGrid, state: LagrangianState, mu: float) -
     Warns if the tangency defect is large enough that vel cannot close up
     over the period.
     """
-    closure = grid.quad(2.0 * state.rho * state.rho_t)
+    flux = 2.0 * state.rho * state.rho_t
+    closure = grid.quad(flux)
     if abs(closure) > TANGENCY_WARN:
         warnings.warn(
             f"tangency defect {closure:.3e} exceeds {TANGENCY_WARN:.0e}; "
             "velocity will not be periodic",
             stacklevel=2,
         )
-    run = grid.cumint_spectral(2.0 * state.rho * state.rho_t)
+    # quad has validated flux already
+    run = grid._antideriv(flux)
     return run + (mu - grid.quad(run * state.rho**2))
 
 

@@ -3,11 +3,18 @@
 Runs main() in process with small grids so the whole file stays fast.
 """
 
+import contextlib
+import io
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rhosphere.cli import _fmt, _simulate_to, main
-from rhosphere.config import DEFAULTS, ConfigError, RunConfig, parse_config
+from rhosphere.config import DEFAULTS, SCHEMA, ConfigError, RunConfig, parse_config
 from rhosphere.lagrangian import lagrangian_velocity
 from rhosphere.reconstruct import flow_map, slope_field
 
@@ -319,6 +326,12 @@ def test_simulate_requires_out(tmp_path):
     "initial.wavenumber = 32",
     "initial.kind = fourier\ninitial.sin_coeffs = " + " ".join(["0.1"] * 32),
     "seed = 7",
+    # finite, but the profile or its energy overflows to inf
+    "initial.amplitude = 1e160",
+    "initial.kind = constant\ninitial.value = 1e200",
+    "initial.kind = peakon_pair\ninitial.p = 1e300",
+    "initial.kind = fourier\ninitial.cos_coeffs = 1e308",
+    "initial.kind = fourier\ninitial.sin_coeffs = 1e170",
 ])
 def test_bad_run_inputs_exit_1(tmp_path, capsys, line):
     # checked where the config becomes an initial spec and an integrator
@@ -336,6 +349,67 @@ def test_bad_run_inputs_exit_1(tmp_path, capsys, line):
         assert "Traceback" not in err
     assert not (tmp_path / "r").exists()
     assert not (tmp_path / "s").exists()
+
+
+# Malformed config files: every key of the schema and some unknown ones,
+# with small, huge, negative and non-finite numbers, words and lists.  The
+# keys that set the cost of a run only take values that either fail or keep
+# it at n = 16 and t_end <= 0.01, with at most a few fixed steps.  Numbers
+# are small (|x| <= 10) or huge (|x| >= 1e150): an amplitude in between is
+# valid but can ask for millions of error-controlled steps and snapshots.
+_NUMBERS = st.one_of(
+    st.integers(min_value=-100, max_value=100).map(str),
+    st.integers(min_value=10**20, max_value=10**30).map(str),
+    st.integers(min_value=-10**30, max_value=-10**20).map(str),
+    st.floats(min_value=-10.0, max_value=10.0).map(repr),
+    st.floats(min_value=1e150).map(repr),
+    st.floats(max_value=-1e150).map(repr),
+    st.just("nan"),
+)
+_VALUES = st.one_of(
+    _NUMBERS,
+    st.sampled_from(["true", "off", "maybe", "sine", "constant", "fourier",
+                     "peakon_pair", "bogus", ""]),
+    st.lists(_NUMBERS, min_size=1, max_size=4).map(" ".join),
+)
+_COSTLY = {
+    "grid.n": ["16", "0", "-16", "17", "1e3", "twelve"],
+    "run.t_end": ["0.01", "0.005", "0", "-1", "nan", "inf", "1e-300", "soon"],
+    "run.dt": ["0.01", "2e-3", "1e300", "0", "-1e-3", "nan", "inf", "1e-300", "5e-324"],
+}
+_FREE_KEYS = sorted(set(SCHEMA) - set(_COSTLY)) + ["no_such.key", "grid", "sweep.grid.n"]
+# and lines a run mostly accepts, so that some files get as far as a run
+_PLAUSIBLE = st.tuples(
+    st.sampled_from([k for k in _FREE_KEYS if k.startswith(("initial.", "run."))]),
+    st.one_of(st.integers(min_value=0, max_value=8).map(str),
+              st.floats(min_value=-10.0, max_value=10.0).map(repr),
+              st.sampled_from(["1e160", "-1e200", "1e308"])),
+)
+_LINES = st.one_of(
+    st.tuples(st.sampled_from(_FREE_KEYS), _VALUES).map(" = ".join),
+    _PLAUSIBLE.map(" = ".join),
+    st.sampled_from(sorted(_COSTLY)).flatmap(
+        lambda key: st.sampled_from(_COSTLY[key]).map(lambda v: f"{key} = {v}")),
+    st.sampled_from(["just some words", "= 3", "initial.value"]),
+)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(_LINES, max_size=6))
+def test_malformed_config_files_exit_cleanly(lines):
+    # exit 0, 1 (config error) or 2 (a run that stopped early), never a
+    # traceback
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "run.cfg"
+        cfg.write_text("\n".join(["grid.n = 16", "run.t_end = 0.01", *lines]) + "\n",
+                       encoding="utf-8")
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
+                np.errstate(all="ignore"):
+            code = main(["simulate", "--config", str(cfg), "--out", str(Path(tmp) / "r")])
+    assert code in (0, 1, 2)
+    said = err.getvalue()
+    assert (code == 1) == ("\nconfig error: " in "\n" + said), said
 
 
 def test_sweep_rejects_bad_swept_value_before_any_run(tmp_path, capsys):

@@ -15,6 +15,21 @@ def trig_poly(grid, rng, kmax=5, amp=1.0):
     return f
 
 
+@pytest.mark.parametrize("n", [16, 64, 256, 1024, 4096, 16384])
+def test_private_transforms_equal_numpy_fft_bit_for_bit(n):
+    # the label-space hot path calls pocketfft's real-transform gufuncs
+    # directly; they must stay the kernels np.fft runs, with its factors
+    g = PeriodicGrid(n)
+    rng = np.random.default_rng(n)
+    for rows in ((), (2,)):
+        a = rng.standard_normal(rows + (n,))
+        spec = g._rfft(a, np.empty(rows + (n // 2 + 1,), dtype=complex))
+        assert np.array_equal(spec, np.fft.rfft(a))
+        coeffs = spec + 1j * rng.standard_normal(spec.shape)
+        back = g._irfft(coeffs, np.empty(rows + (n,)))
+        assert np.array_equal(back, np.fft.irfft(coeffs, n, norm="forward"))
+
+
 def test_grid_requires_power_of_two():
     for bad in (0, 12, 17, 100, -64):
         with pytest.raises(ValueError):

@@ -40,6 +40,24 @@ def test_constant_data_is_a_fixed_point():
     assert rec.events == []
 
 
+def test_transform_calls_per_evaluation_and_fixed_step(monkeypatch):
+    # the label-space transforms all go through the grid's private pair:
+    # two transform pairs per evaluation, four evaluations per RK4 step
+    grid, state, mu = initial_state(InitialSpec("sine", 64, amplitude=0.5))
+    calls = []
+    for name in ("_rfft", "_irfft"):
+        transform = getattr(grid, name)
+        monkeypatch.setattr(grid, name, lambda a, out, f=transform: calls.append(1) or f(a, out))
+    evaluate(grid, state, mu)
+    assert len(calls) == 4
+    counts = []
+    for steps in (1, 2):
+        calls.clear()
+        evolve(grid, state, mu, IntegratorConfig(dt=1e-3, t_end=steps * 1e-3))
+        counts.append(len(calls))
+    assert counts[1] - counts[0] == 16
+
+
 def test_default_dt_scales_inversely_with_n():
     g1, s1, m1 = initial_state(InitialSpec("sine", 64, amplitude=0.5))
     g2, s2, m2 = initial_state(InitialSpec("sine", 128, amplitude=0.5))
