@@ -221,16 +221,16 @@ def lagrangian_velocity(grid: PeriodicGrid, state: LagrangianState, mu: float) -
     Warns if the tangency defect is large enough that vel cannot close up
     over the period.
     """
-    flux = 2.0 * state.rho * state.rho_t
-    closure = grid.quad(flux)
+    rho2_t = 2.0 * state.rho * state.rho_t
+    closure = grid.quad(rho2_t)
     if abs(closure) > TANGENCY_WARN:
         warnings.warn(
             f"tangency defect {closure:.3e} exceeds {TANGENCY_WARN:.0e}; "
             "velocity will not be periodic",
             stacklevel=2,
         )
-    # quad has validated flux already
-    run = grid._antideriv(flux)
+    # quad has validated rho2_t already
+    run = grid._antideriv(rho2_t)
     return run + (mu - grid.quad(run * state.rho**2))
 
 

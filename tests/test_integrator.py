@@ -45,9 +45,15 @@ def test_transform_calls_per_evaluation_and_fixed_step(monkeypatch):
     # two transform pairs per evaluation, four evaluations per RK4 step
     grid, state, mu = initial_state(InitialSpec("sine", 64, amplitude=0.5))
     calls = []
+
+    def counted(transform):
+        def wrapper(a, out):
+            calls.append(transform)
+            return transform(a, out)
+        return wrapper
+
     for name in ("_rfft", "_irfft"):
-        transform = getattr(grid, name)
-        monkeypatch.setattr(grid, name, lambda a, out, f=transform: calls.append(1) or f(a, out))
+        monkeypatch.setattr(grid, name, counted(getattr(grid, name)))
     evaluate(grid, state, mu)
     assert len(calls) == 4
     counts = []
