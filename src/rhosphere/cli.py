@@ -15,7 +15,6 @@ early (non-finite step or reference-solver blowup), 3 validation failure.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import platform
 import sys
@@ -187,25 +186,18 @@ def run_validate(cfg: RunConfig, out: Path | None, flip_h_sign: bool) -> int:
 def run_compare(cfg: RunConfig, out: Path | None) -> int:
     grid, state, mu = _build_run(cfg)
     icfg = cfg.integrator_config()
-    t_list = sorted(float(t) for t in cfg.get("compare.times")) or [icfg.t_end]
-    if t_list[0] < 0.0 or t_list[-1] > icfg.t_end:
-        raise ConfigError("compare.times must lie within [0, run.t_end]")
-    dt_ref = cfg.get("oracle.dt")
-    if dt_ref is not None and not (math.isfinite(dt_ref) and dt_ref > 0.0):
-        raise ConfigError(f"oracle.dt must be finite and > 0, got {dt_ref!r}")
-    cap = float(cfg.get("oracle.slope_cap"))
-    if not cap > 0.0:
-        raise ConfigError(f"oracle.slope_cap must be > 0, got {cap!r}")
-    m = cfg.get("compare.m")
-    if m is not None and m < 1:
-        raise ConfigError(f"compare.m must be >= 1, got {m!r}")
+    args = cfg.compare_args()
+    t_list, cap, m = args["times"], args["slope_cap"], args["m"]
     _check_snapshot_grid(grid, state, mu, icfg)
-    record = evolve(grid, state, mu, icfg)
+    try:
+        record = evolve(grid, state, mu, icfg)
+    except StepFailure as fail:
+        print(f"run stopped early: {fail}", file=sys.stderr)
+        return 2
 
     u0, _, _ = make_initial(cfg.initial_spec())
-    dt_ref = record.dt if dt_ref is None else float(dt_ref)
-    traj = eulerian_evolve(u0, dt_ref, icfg.t_end, slope_cap=cap,
-                           dealias=bool(cfg.get("oracle.dealias")))
+    dt_ref = record.dt if args["dt"] is None else float(args["dt"])
+    traj = eulerian_evolve(u0, dt_ref, icfg.t_end, slope_cap=cap, dealias=args["dealias"])
     if traj.blowup:
         print(f"reference solver stopped at t = {traj.blowup_time:g} (slope cap {cap:g})",
               file=sys.stderr)

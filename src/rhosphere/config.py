@@ -191,6 +191,31 @@ class RunConfig:
             breaking_eps=self._float("run.breaking_eps", 0.0),
         )
 
+    def compare_args(self) -> dict[str, object]:
+        """Settings of `compare`: the comparison times (run.t_end when none
+        are given), the oracle's step (None: the run's snapshot spacing),
+        slope cap and dealiasing, and the sample count m (None: the oracle's
+        grid).  A value no comparison accepts is a ConfigError."""
+        t_end = self._float("run.t_end", 0.0)
+        times = sorted(float(t) for t in self.get("compare.times")) or [t_end]
+        if not all(0.0 <= t <= t_end for t in times):
+            raise ConfigError("compare.times must lie within [0, run.t_end]")
+        dt = self.get("oracle.dt")
+        if dt is not None:
+            if not (math.isfinite(dt) and dt > 0.0):
+                raise ConfigError(f"oracle.dt must be finite and > 0, got {dt!r}")
+            try:
+                step_count(dt, t_end, "oracle.dt")
+            except StepLimitError as exc:
+                raise ConfigError(str(exc)) from None
+        cap = float(self.get("oracle.slope_cap"))
+        if not cap > 0.0:
+            raise ConfigError(f"oracle.slope_cap must be > 0, got {cap!r}")
+        m = self.get("compare.m")
+        if m is not None and m < 1:
+            raise ConfigError(f"compare.m must be >= 1, got {m!r}")
+        return {"times": times, "dt": dt, "slope_cap": cap, "dealias": bool(self.get("oracle.dealias")), "m": m}
+
     def validation_args(self) -> dict[str, int]:
         """Keyword arguments of full_validation; a battery that would check
         no state, or could not build its grid or generator, is a ConfigError."""

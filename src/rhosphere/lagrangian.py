@@ -64,7 +64,8 @@ from .grid import PeriodicGrid
 HALF_SINH = np.sinh(0.5)
 _SQRT_E = float(np.exp(0.5))
 
-# |quad(2 rho rho_t)| above this makes vel fail to close up over the period
+# |quad(2 rho rho_t)| above this, relative to max(1, max|2 rho rho_t|) as
+# the lift in `scenarios` scales it, makes vel fail to close up over the period
 TANGENCY_WARN = 1e-8
 
 H_CONVENTION_NOTE = (
@@ -218,14 +219,14 @@ def _source_density(state, vel):
 def lagrangian_velocity(grid: PeriodicGrid, state: LagrangianState, mu: float) -> np.ndarray:
     """Material velocity vel = int_0^x 2 rho rho_t dy + offset.
 
-    Warns if the tangency defect is large enough that vel cannot close up
-    over the period.
+    Warns if the tangency defect, relative to max(1, max|2 rho rho_t|), is
+    large enough that vel cannot close up over the period.
     """
     rho2_t = 2.0 * state.rho * state.rho_t
     closure = grid.quad(rho2_t)
-    if abs(closure) > TANGENCY_WARN:
+    if abs(closure) > TANGENCY_WARN * max(1.0, float(np.abs(rho2_t).max())):
         warnings.warn(
-            f"tangency defect {closure:.3e} exceeds {TANGENCY_WARN:.0e}; "
+            f"tangency defect {closure:.3e} exceeds {TANGENCY_WARN:.0e} of max(1, max|2 rho rho_t|); "
             "velocity will not be periodic",
             stacklevel=2,
         )

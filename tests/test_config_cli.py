@@ -6,6 +6,7 @@ Runs main() in process with small grids so the whole file stays fast.
 import contextlib
 import io
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -256,7 +257,7 @@ def test_adaptive_run_directory(tmp_path, capsys):
     accepted = len(rows) - 1
     assert meta["steps_accepted"] == str(accepted)
     assert f"steps={accepted}," in wrote
-    assert int(meta["rhs_evaluations"]) == 1 + 11 * accepted + 10 * int(meta["steps_rejected"])
+    assert int(meta["rhs_evaluations"]) == 1 + 6 * (accepted + int(meta["steps_rejected"]))
     # snapshots carry the names a fixed run at the snapshot spacing writes
     assert meta["dt"] == meta["dt_heuristic"]
     capsys.readouterr()
@@ -276,10 +277,10 @@ def test_adaptive_step_floor_exits_2(tmp_path, capsys, monkeypatch):
     import rhosphere.integrate as integrate
     from rhosphere.lagrangian import LagrangianState
 
-    def broken(grid, state, mu, dt, stage1, t):
-        return LagrangianState(np.full(grid.n, np.inf), state.rho_t, state.k0, t)
+    def broken(grid, state, mu, h, stage1, t):
+        return LagrangianState(np.full(grid.n, np.inf), state.rho_t, state.k0, t), np.zeros(2 * grid.n + 1)
 
-    monkeypatch.setattr(integrate, "_advance", broken)
+    monkeypatch.setattr(integrate, "_dp_trial", broken)
     out = tmp_path / "run"
     with np.errstate(all="ignore"):
         code = main(["simulate", "--config", str(adaptive_cfg(tmp_path)), "--out", str(out)])
@@ -351,11 +352,24 @@ def test_bad_run_inputs_exit_1(tmp_path, capsys, line):
     assert not (tmp_path / "s").exists()
 
 
+def test_huge_periodic_profile_gives_no_tangency_warning(tmp_path, capsys):
+    # quad(u0x) of a periodic profile is round-off, about 1e144 here: the
+    # warning scales it by max|2 rho rho_t| as the lift does, so only the
+    # config error for the overflowing energy is reported
+    cfg = write_cfg(tmp_path, "grid.n = 64\nrun.t_end = 0.01\ninitial.amplitude = 1e160\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 1
+    assert capsys.readouterr().err.startswith("config error")
+    assert not [w for w in caught if "tangency defect" in str(w.message)]
+
+
 # Malformed config files: every key of the schema and some unknown ones,
-# with small, huge, negative and non-finite numbers, words and lists.  The
-# keys that set the cost of a run only take values that either fail or keep
-# it at n = 16 and t_end <= 0.01, with at most a few fixed steps.  Numbers
-# are small (|x| <= 10) or huge (|x| >= 1e150): an amplitude in between is
+# with small, huge, negative and non-finite numbers, words and lists, and
+# sweep lines over them.  The keys that set the cost of a run, a reference
+# run or a comparison only take values that either fail or keep it at
+# n = 16 and t_end <= 0.01, with at most a few fixed steps.  Numbers are
+# small (|x| <= 10) or huge (|x| >= 1e150): an amplitude in between is
 # valid but can ask for millions of error-controlled steps and snapshots.
 _NUMBERS = st.one_of(
     st.integers(min_value=-100, max_value=100).map(str),
@@ -376,6 +390,8 @@ _COSTLY = {
     "grid.n": ["16", "0", "-16", "17", "1e3", "twelve"],
     "run.t_end": ["0.01", "0.005", "0", "-1", "nan", "inf", "1e-300", "soon"],
     "run.dt": ["0.01", "2e-3", "1e300", "0", "-1e-3", "nan", "inf", "1e-300", "5e-324"],
+    "oracle.dt": ["0.01", "2e-3", "1e300", "0", "-1e-3", "nan", "inf", "1e-300", "5e-324"],
+    "compare.m": ["16", "32", "17", "1", "0", "-16", "1e3", "many"],
 }
 _FREE_KEYS = sorted(set(SCHEMA) - set(_COSTLY)) + ["no_such.key", "grid", "sweep.grid.n"]
 # and lines a run mostly accepts, so that some files get as far as a run
@@ -385,20 +401,26 @@ _PLAUSIBLE = st.tuples(
               st.floats(min_value=-10.0, max_value=10.0).map(repr),
               st.sampled_from(["1e160", "-1e200", "1e308"])),
 )
+_COSTLY_LINES = st.sampled_from(sorted(_COSTLY)).flatmap(
+    lambda key: st.lists(st.sampled_from(_COSTLY[key]), min_size=1, max_size=2).map(
+        lambda vs: (key, " ".join(vs))))
 _LINES = st.one_of(
     st.tuples(st.sampled_from(_FREE_KEYS), _VALUES).map(" = ".join),
     _PLAUSIBLE.map(" = ".join),
     st.sampled_from(sorted(_COSTLY)).flatmap(
         lambda key: st.sampled_from(_COSTLY[key]).map(lambda v: f"{key} = {v}")),
     st.sampled_from(["just some words", "= 3", "initial.value"]),
+    # a sweep over one or two values of a key; sweep sets "sweep." on it
+    st.one_of(_PLAUSIBLE, _COSTLY_LINES).map(lambda kv: f"sweep.{kv[0]} = {kv[1]}"),
 )
+_COMMANDS = {"simulate": [], "compare": [], "sweep": ["--workers", "1"]}
 
 
-@settings(max_examples=50, deadline=None)
-@given(st.lists(_LINES, max_size=6))
-def test_malformed_config_files_exit_cleanly(lines):
-    # exit 0, 1 (config error) or 2 (a run that stopped early), never a
-    # traceback
+@settings(max_examples=90, deadline=None)
+@given(st.lists(_LINES, max_size=6), st.sampled_from(sorted(_COMMANDS)))
+def test_malformed_config_files_exit_cleanly(lines, command):
+    # simulate, compare and sweep exit 0, 1 (config error) or 2 (a run that
+    # stopped early), never with a traceback
     with tempfile.TemporaryDirectory() as tmp:
         cfg = Path(tmp) / "run.cfg"
         cfg.write_text("\n".join(["grid.n = 16", "run.t_end = 0.01", *lines]) + "\n",
@@ -406,7 +428,7 @@ def test_malformed_config_files_exit_cleanly(lines):
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
                 np.errstate(all="ignore"):
-            code = main(["simulate", "--config", str(cfg), "--out", str(Path(tmp) / "r")])
+            code = main([command, "--config", str(cfg), "--out", str(Path(tmp) / "out"), *_COMMANDS[command]])
     assert code in (0, 1, 2)
     said = err.getvalue()
     assert (code == 1) == ("\nconfig error: " in "\n" + said), said
@@ -562,19 +584,38 @@ def test_compare_at_t_end_of_a_summed_step(tmp_path, capsys):
     assert "t = 0.1  l2 = " in capsys.readouterr().out
 
 
+def test_compare_of_a_run_that_stops_early_exits_2(tmp_path, capsys):
+    # the first fixed step of this steep sine goes non-finite
+    cfg = write_cfg(tmp_path, "grid.n = 16\nrun.dt = 0.01\nrun.t_end = 0.01\ninitial.amplitude = 1e3\n")
+    with np.errstate(all="ignore"):
+        assert main(["compare", "--config", str(cfg), "--out", str(tmp_path / "c")]) == 2
+    assert "run stopped early: non-finite state at step 1" in capsys.readouterr().err
+    assert not (tmp_path / "c").exists()
+
+
 @pytest.mark.parametrize("line", [
     "oracle.dt = 0",
     "oracle.dt = nan",
     "oracle.dt = -1e-3",
     "compare.m = 0",
     "oracle.slope_cap = nan",
+    # the reference run would take 5e298 steps
+    "oracle.dt = 1e-300",
+    "compare.times = nan",
+    "compare.times = 0.01 -0.01",
 ])
-def test_compare_rejects_bad_oracle_keys(tmp_path, capsys, line):
+def test_compare_rejects_bad_oracle_keys(tmp_path, capsys, line, monkeypatch):
+    # RunConfig checks them before any run starts
+    import rhosphere.cli as cli
+
+    monkeypatch.setattr(cli, "evolve", None)
     cfg = write_cfg(tmp_path, "\n".join(["grid.n = 64", "run.t_end = 0.05", line]))
     assert main(["compare", "--config", str(cfg)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error")
     assert "Traceback" not in err
+    with pytest.raises(ConfigError):
+        parse_config(cfg).compare_args()
 
 
 # ---------------------------------------------------------------- sweep

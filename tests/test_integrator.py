@@ -345,7 +345,7 @@ def test_adaptive_snapshots_sit_on_the_default_dt_grid():
 
 
 def test_adaptive_run_matches_a_fine_fixed_run(adaptive_and_fine):
-    # measured: snapshots within 2.2e-9, final states within 2.8e-10
+    # measured: snapshots within 2.4e-9, final states within 3.5e-10
     _, adaptive, fine = adaptive_and_fine
     assert [s.t for s in adaptive.snapshots] == pytest.approx([s.t for s in fine.snapshots], rel=0, abs=1e-12)
     assert max(state_gap(a, b) for a, b in zip(adaptive.snapshots, fine.snapshots)) <= 1e-7
@@ -373,16 +373,35 @@ def test_adaptive_events_are_per_label_hermite_roots(adaptive_and_fine):
 
 def test_adaptive_energy_drift_at_the_collision():
     # n = 1024, so that the spatial part of the drift sits below the bound;
-    # measured 5.1e-11, against 3.0e-11 at dt = 1e-4
+    # measured 2.8e-11, against 3.0e-11 at dt = 1e-4
     grid, state, mu = peakon_pair(1024, 0.105)
     rec = evolve(grid, state, mu, IntegratorConfig(t_end=1.02))
     assert any(e.locations == [512] for e in rec.events)
     assert rec.energy_drift <= 1e-9
-    assert rec.rhs_evaluations == 1 + 11 * rec.steps_accepted + 10 * rec.steps_rejected
+    assert rec.rhs_evaluations == 1 + 6 * (rec.steps_accepted + rec.steps_rejected)
+
+
+def test_adaptive_accuracy_and_cost_on_the_collision_pair():
+    # the pair at n = 1024 through 1.06 times the latest collision of the
+    # d in [0.10, 0.11] family, against a run at default_dt / 10 with
+    # snapshots at the same times.  Measured: final state 9.3e-13, worst
+    # snapshot 1.8e-9, energy drift 2.8e-11, 213 labels and 181 evaluations
+    # (30 steps); RK4 step doubling read 8.9e-11, 2.2e-9, 5.1e-11 and 331
+    grid, state, mu = peakon_pair(1024, 0.105)
+    t_end = 1.06 * ExactPair(1.0, 0.11).collision_time
+    adaptive = evolve(grid, state, mu, IntegratorConfig(t_end=t_end))
+    fine = evolve(grid, state, mu, IntegratorConfig(dt=adaptive.dt / 10, t_end=t_end, snapshot_stride=1000))
+    assert [s.t for s in adaptive.snapshots] == [s.t for s in fine.snapshots]
+    assert state_gap(adaptive.snapshots[-1], fine.snapshots[-1]) <= 8.9e-11
+    assert max(state_gap(a, b) for a, b in zip(adaptive.snapshots, fine.snapshots)) <= 2.2e-9
+    assert adaptive.energy_drift <= 5.1e-11
+    labels = [sorted(j for e in rec.events for j in e.locations) for rec in (adaptive, fine)]
+    assert labels[0] == labels[1]
+    assert adaptive.rhs_evaluations <= 200
 
 
 def test_adaptive_steps_do_not_grow_with_n():
-    # the default step would take 16386 steps here; measured 56
+    # the default step would take 16386 steps here; measured 57
     grid, state, mu = peakon_pair(4096, 0.105, energy_=4.0)
     rec = evolve(grid, state, mu, IntegratorConfig(t_end=1.0, snapshot_stride=10**6))
     fixed_steps, _ = step_count(rec.dt_heuristic, 1.0)
@@ -414,15 +433,15 @@ def test_adaptive_run_honours_projection(monkeypatch):
 @pytest.mark.parametrize("field,bad", [("rho", np.nan), ("rho_t", np.inf)])
 def test_adaptive_step_floor_stops_the_run(monkeypatch, field, bad):
     # every trial step goes non-finite: the step shrinks by 5x per
-    # rejection until it falls below t_end / MAX_STEPS.  With the same +inf
-    # in both trials' rho_t their gap is NaN, which must not pass as 0
+    # rejection until it falls below t_end / MAX_STEPS.  The candidate's
+    # +inf or NaN must not pass with the zero error estimate beside it
     import rhosphere.integrate as integrate
 
-    def broken(grid, state, mu, dt, stage1, t):
+    def broken(grid, state, mu, h, stage1, t):
         parts = {"rho": state.rho, "rho_t": state.rho_t, field: np.full(grid.n, bad)}
-        return LagrangianState(parts["rho"], parts["rho_t"], state.k0, t)
+        return LagrangianState(parts["rho"], parts["rho_t"], state.k0, t), np.zeros(2 * grid.n + 1)
 
-    monkeypatch.setattr(integrate, "_advance", broken)
+    monkeypatch.setattr(integrate, "_dp_trial", broken)
     grid, state, mu = initial_state(InitialSpec("sine", 64, amplitude=0.5))
     with np.errstate(all="ignore"), pytest.raises(StepFailure, match="below the floor .* after a non-finite trial") as exc:
         evolve(grid, state, mu, IntegratorConfig(t_end=1.0))
@@ -437,13 +456,13 @@ def test_adaptive_rejects_trials_with_non_finite_rho_t(monkeypatch):
     # 0.01: those trials are rejected, and no accepted state is non-finite
     import rhosphere.integrate as integrate
 
-    real = integrate._advance
+    real = integrate._dp_trial
 
-    def long_steps_break(grid, state, mu, dt, stage1, t):
-        new = real(grid, state, mu, dt, stage1, t)
-        return LagrangianState(new.rho, np.full(grid.n, np.nan), new.k0, t) if dt > 0.01 else new
+    def long_steps_break(grid, state, mu, h, stage1, t):
+        new, part = real(grid, state, mu, h, stage1, t)
+        return (LagrangianState(new.rho, np.full(grid.n, np.nan), new.k0, t) if h > 0.01 else new), part
 
-    monkeypatch.setattr(integrate, "_advance", long_steps_break)
+    monkeypatch.setattr(integrate, "_dp_trial", long_steps_break)
     grid, state, mu = initial_state(InitialSpec("sine", 64, amplitude=0.5))
     with np.errstate(all="ignore"):
         rec = evolve(grid, state, mu, IntegratorConfig(t_end=0.3, snapshot_stride=10))
