@@ -393,7 +393,7 @@ _COSTLY = {
     "oracle.dt": ["0.01", "2e-3", "1e300", "0", "-1e-3", "nan", "inf", "1e-300", "5e-324"],
     "compare.m": ["16", "32", "17", "1", "0", "-16", "1e3", "many"],
 }
-_FREE_KEYS = sorted(set(SCHEMA) - set(_COSTLY)) + ["no_such.key", "grid", "sweep.grid.n"]
+_FREE_KEYS = sorted(set(SCHEMA) - set(_COSTLY)) + ["no_such.key", "grid"]
 # and lines a run mostly accepts, so that some files get as far as a run
 _PLAUSIBLE = st.tuples(
     st.sampled_from([k for k in _FREE_KEYS if k.startswith(("initial.", "run."))]),
@@ -401,17 +401,16 @@ _PLAUSIBLE = st.tuples(
               st.floats(min_value=-10.0, max_value=10.0).map(repr),
               st.sampled_from(["1e160", "-1e200", "1e308"])),
 )
-_COSTLY_LINES = st.sampled_from(sorted(_COSTLY)).flatmap(
+# one or two of a costly key's values
+_COSTLY_PAIRS = st.sampled_from(sorted(_COSTLY)).flatmap(
     lambda key: st.lists(st.sampled_from(_COSTLY[key]), min_size=1, max_size=2).map(
         lambda vs: (key, " ".join(vs))))
 _LINES = st.one_of(
     st.tuples(st.sampled_from(_FREE_KEYS), _VALUES).map(" = ".join),
     _PLAUSIBLE.map(" = ".join),
-    st.sampled_from(sorted(_COSTLY)).flatmap(
-        lambda key: st.sampled_from(_COSTLY[key]).map(lambda v: f"{key} = {v}")),
+    _COSTLY_PAIRS.map(" = ".join),
     st.sampled_from(["just some words", "= 3", "initial.value"]),
-    # a sweep over one or two values of a key; sweep sets "sweep." on it
-    st.one_of(_PLAUSIBLE, _COSTLY_LINES).map(lambda kv: f"sweep.{kv[0]} = {kv[1]}"),
+    st.one_of(_PLAUSIBLE, _COSTLY_PAIRS).map(lambda kv: f"sweep.{kv[0]} = {kv[1]}"),
 )
 _COMMANDS = {"simulate": [], "compare": [], "sweep": ["--workers", "1"]}
 
