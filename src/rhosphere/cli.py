@@ -7,6 +7,9 @@ both solvers on the same initial profile and reports the distance,
 
 Output files are plain CSV / key = value text, floats rendered with
 repr() so that a rerun of the same configuration is byte-identical.
+``simulate`` writes the snapshot files from up to one process per CPU
+(forked children and this process, snapshot i from process i mod p); the
+bytes of the run directory do not depend on p.
 
 Exit codes: 0 success, 1 configuration problems, 2 a run that stopped
 early (non-finite step or reference-solver blowup), 3 validation failure.
@@ -15,6 +18,7 @@ early (non-finite step or reference-solver blowup), 3 validation failure.
 from __future__ import annotations
 
 import argparse
+import multiprocessing
 import os
 import platform
 import sys
@@ -74,17 +78,63 @@ def _write_events(out: Path, record: SimulationRecord) -> None:
     _write_lines(out / "events.csv", lines)
 
 
-def _write_snapshots(out: Path, grid: PeriodicGrid, record: SimulationRecord) -> None:
+def _write_snapshot(snapdir: Path, grid: PeriodicGrid, record: SimulationRecord, x: list[str], i: int) -> None:
+    """Fields of snapshot i and its file; x is the grid's x column."""
+    state = record.snapshots[i]
+    fmap = flow_map(grid, state)
+    vel = lagrangian_velocity(grid, state, record.mu)
+    slopes, valid = slope_field(state)
+    columns = (state.rho, state.rho_t, fmap.knots[:grid.n], vel, slopes)
+    rows = map(",".join, zip(x, *map(_floats, columns), map("01".__getitem__, valid.tolist())))
+    _write_lines(snapdir / f"snap_{record.snapshot_steps[i]:06d}.csv",
+                 chain(["x,rho,rho_t,K,u,ux,valid_ux"], rows))
+
+
+def _write_snapshots(snapdir: Path, grid: PeriodicGrid, record: SimulationRecord, x: list[str],
+                     indices: range) -> None:
+    for i in indices:
+        _write_snapshot(snapdir, grid, record, x, i)
+
+
+def _cpus() -> int:
+    """Processes a run's snapshot files may be written from: the CPUs this
+    process may run on, or 1 where processes cannot be forked."""
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return 1
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _write_run_files(out: Path, grid: PeriodicGrid, record: SimulationRecord, processes: int) -> None:
+    """series.csv, events.csv and the snapshot files, from p = min(processes,
+    snapshots) processes: this one and p - 1 forked children, snapshot i
+    from process i mod p.  The children read the record from the memory
+    they share with this process, so nothing is pickled; they are forked
+    before this process writes anything, and all are joined before this
+    returns or raises.  A child that exits non-zero is a RuntimeError."""
     snapdir = out / "snapshots"
     snapdir.mkdir(parents=True, exist_ok=True)
     x = list(_floats(grid.x))
-    for step, state in zip(record.snapshot_steps, record.snapshots):
-        fmap = flow_map(grid, state)
-        vel = lagrangian_velocity(grid, state, record.mu)
-        slopes, valid = slope_field(state)
-        columns = (state.rho, state.rho_t, fmap.knots[:grid.n], vel, slopes)
-        rows = map(",".join, zip(x, *map(_floats, columns), map("01".__getitem__, valid.tolist())))
-        _write_lines(snapdir / f"snap_{step:06d}.csv", chain(["x,rho,rho_t,K,u,ux,valid_ux"], rows))
+    count = len(record.snapshots)
+    p = max(1, min(processes, count))
+    children = []
+    try:
+        for r in range(1, p):
+            # the fork context flushes stdout and stderr first, and the child
+            # leaves through os._exit, so no buffered output is written twice
+            child = multiprocessing.get_context("fork").Process(
+                target=_write_snapshots, args=(snapdir, grid, record, x, range(r, count, p)),
+                name=f"snapshot writer {r} of {p}")
+            child.start()
+            children.append(child)
+        _write_series(out, record)
+        _write_events(out, record)
+        _write_snapshots(snapdir, grid, record, x, range(0, count, p))
+    finally:
+        for child in children:
+            child.join()
+    failed = [f"{c.name} (pid {c.pid}) exited with code {c.exitcode}" for c in children if c.exitcode]
+    if failed:
+        raise RuntimeError("; ".join(failed))
 
 
 def _write_metadata(out: Path, command: str, cfg: RunConfig, record: SimulationRecord | None,
@@ -141,7 +191,9 @@ def _check_snapshot_grid(grid, state, mu, icfg):
             raise ConfigError(str(exc)) from None
 
 
-def _simulate_to(cfg: RunConfig, out: Path):
+def _simulate_to(cfg: RunConfig, out: Path, processes: int = 1):
+    """Run cfg and write its run directory, the snapshot files from up to
+    `processes` processes."""
     grid, state, mu = _build_run(cfg)
     icfg = cfg.integrator_config()
     _check_snapshot_grid(grid, state, mu, icfg)
@@ -153,9 +205,7 @@ def _simulate_to(cfg: RunConfig, out: Path):
         print(f"run stopped early: {fail}", file=sys.stderr)
         code = 2
     out.mkdir(parents=True, exist_ok=True)
-    _write_series(out, record)
-    _write_events(out, record)
-    _write_snapshots(out, grid, record)
+    _write_run_files(out, grid, record, processes)
     _write_metadata(out, "simulate", cfg, record, {"completed": code == 0})
     print(f"wrote {out}  (steps={record.series.t.size - 1}, events={len(record.events)}, "
           f"energy drift={record.energy_drift:.3e})")
@@ -163,7 +213,7 @@ def _simulate_to(cfg: RunConfig, out: Path):
 
 
 def run_simulate(cfg: RunConfig, out: Path) -> int:
-    code, _, _ = _simulate_to(cfg, out)
+    code, _, _ = _simulate_to(cfg, out, _cpus())
     return code
 
 
@@ -234,7 +284,8 @@ def _sweep_worker(payload):
     cfg = RunConfig(dict(values))
     for key, val in assignment.items():
         cfg.values[key] = val
-    code, record, _ = _simulate_to(cfg, Path(run_dir))
+    # the sweep is parallel across its points already
+    code, record, _ = _simulate_to(cfg, Path(run_dir), 1)
     drift = record.energy_drift if record.series.t.size else None
     breaking = record.events[0].time if record.events else None
     max_slope = 0.0

@@ -22,6 +22,10 @@ class ConfigError(Exception):
     pass
 
 
+# largest grid.n, validate.n and compare.m: a node count past it is a
+# typo, whose arrays could take a host's memory
+MAX_GRID_SIZE = 2**20
+
 _BOOLS = {"true": True, "false": False, "yes": True, "no": False, "on": True, "off": False}
 
 # key -> element type; a tuple marks a whitespace-separated list of that type
@@ -133,8 +137,8 @@ class RunConfig:
 
     def _grid_size(self, key: str) -> int:
         n = int(self.get(key))
-        if not is_grid_size(n):
-            raise ConfigError(f"{key} must be a power of two >= 16, got {n}")
+        if not (is_grid_size(n) and n <= MAX_GRID_SIZE):
+            raise ConfigError(f"{key} must be a power of two from 16 to {MAX_GRID_SIZE}, got {n}")
         return n
 
     def initial_spec(self) -> InitialSpec:
@@ -212,8 +216,8 @@ class RunConfig:
         if not cap > 0.0:
             raise ConfigError(f"oracle.slope_cap must be > 0, got {cap!r}")
         m = self.get("compare.m")
-        if m is not None and m < 1:
-            raise ConfigError(f"compare.m must be >= 1, got {m!r}")
+        if m is not None and not 1 <= m <= MAX_GRID_SIZE:
+            raise ConfigError(f"compare.m must be from 1 to {MAX_GRID_SIZE}, got {m!r}")
         return {"times": times, "dt": dt, "slope_cap": cap, "dealias": bool(self.get("oracle.dealias")), "m": m}
 
     def validation_args(self) -> dict[str, int]:

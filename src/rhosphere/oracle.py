@@ -14,12 +14,12 @@ continued.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .grid import PeriodicGrid
+from .integrate import step_count
 
 
 @dataclass
@@ -83,11 +83,7 @@ def eulerian_rhs(grid: PeriodicGrid, u: np.ndarray, dealias: bool = True) -> np.
     return np.fft.irfft(rhs(np.fft.rfft(grid.check(u))), grid.n)
 
 
-def _check_run(dt: float, t_end: float, snapshot_stride: int, slope_cap: float) -> None:
-    if not (math.isfinite(dt) and dt > 0.0):
-        raise ValueError(f"dt must be finite and > 0, got {dt!r}")
-    if not (math.isfinite(t_end) and t_end >= 0.0):
-        raise ValueError(f"t_end must be finite and >= 0, got {t_end!r}")
+def _check_run(snapshot_stride: int, slope_cap: float) -> None:
     if not slope_cap > 0.0:
         raise ValueError(f"slope_cap must be > 0, got {slope_cap!r}")
     if snapshot_stride < 1:
@@ -109,15 +105,13 @@ def eulerian_evolve(
     t_end = 0 takes no step.  The run is flagged as a blowup when max|u_x| passes
     slope_cap or the state goes non-finite; times/states then end at the
     last stored step before the threshold, and blowup_time reports where
-    the cap was crossed.
+    the cap was crossed.  A dt that takes more than MAX_STEPS steps raises
+    StepLimitError.
     """
-    _check_run(dt, t_end, snapshot_stride, slope_cap)
+    steps, uniform = step_count(dt, t_end)
+    _check_run(snapshot_stride, slope_cap)
     u = np.asarray(u0, dtype=float).copy()
     grid = PeriodicGrid(u.size)
-    steps = max(1, round(t_end / dt)) if t_end > 0 else 0
-    uniform = abs(steps * dt - t_end) <= 1e-9 * max(1.0, t_end)
-    if not uniform:
-        steps = math.ceil(t_end / dt - 1e-12)
 
     rhs = _SpectralRHS(grid.n, dealias)
     u_hat = np.fft.rfft(u)

@@ -5,6 +5,10 @@ Runs main() in process with small grids so the whole file stays fast.
 
 import contextlib
 import io
+import multiprocessing
+import os
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -15,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rhosphere.cli import _fmt, _simulate_to, main
-from rhosphere.config import DEFAULTS, SCHEMA, ConfigError, RunConfig, parse_config
+from rhosphere.config import DEFAULTS, MAX_GRID_SIZE, SCHEMA, ConfigError, RunConfig, parse_config
 from rhosphere.lagrangian import lagrangian_velocity
 from rhosphere.reconstruct import flow_map, slope_field
 
@@ -102,6 +106,35 @@ def test_initial_spec_reflects_values():
     assert spec.p == 2.0
     assert spec.q1 == 0.1
     assert spec.q2 == DEFAULTS["initial.q2"]
+
+
+def test_grid_sizes_bounded_from_above(tmp_path, capsys, monkeypatch):
+    # 2^40 nodes would take 8 TB per array; rejected before any is made
+    import rhosphere.cli as cli
+
+    huge = 2**40
+    with pytest.raises(ConfigError, match="grid.n must be a power of two from 16 to 1048576, got 1099511627776"):
+        RunConfig({"grid.n": huge}).initial_spec()
+    with pytest.raises(ConfigError, match="validate.n must be a power of two from 16 to 1048576"):
+        RunConfig({"validate.n": huge}).validation_args()
+    with pytest.raises(ConfigError, match="compare.m must be from 1 to 1048576, got 1099511627776"):
+        RunConfig({"compare.m": huge}).compare_args()
+    top = {"grid.n": MAX_GRID_SIZE, "validate.n": MAX_GRID_SIZE, "compare.m": MAX_GRID_SIZE}
+    assert RunConfig(top).initial_spec().n == MAX_GRID_SIZE
+    assert RunConfig(top).validation_args()["n"] == MAX_GRID_SIZE
+    assert RunConfig(top).compare_args()["m"] == MAX_GRID_SIZE
+    # on the command line, with the calls that would allocate replaced
+    monkeypatch.setattr(cli, "evolve", None)
+    monkeypatch.setattr(cli, "full_validation", None)
+    cfg = write_cfg(tmp_path, f"grid.n = 64\nrun.t_end = 0.05\ncompare.m = {huge}\n")
+    argvs = [["validate", "--n", str(huge)], ["compare", "--config", str(cfg)],
+             ["simulate", "--n", str(huge), "--out", str(tmp_path / "r")]]
+    for argv in argvs:
+        if argv[0] == "simulate":
+            monkeypatch.setattr(cli, "PeriodicGrid", None)
+        assert main(argv) == 1, argv[0]
+        assert capsys.readouterr().err.startswith("config error: "), argv[0]
+    assert not (tmp_path / "r").exists()
 
 
 # ---------------------------------------------------------------- simulate
@@ -211,6 +244,74 @@ def test_writers_match_per_node_reference(tmp_path, lines, expected_code):
     with np.errstate(all="ignore"):
         for path, state in zip(snaps, record.snapshots):
             assert path.read_bytes() == reference_snapshot(grid, record, state).encode()
+
+
+@pytest.mark.parametrize("lines,expected_code", [
+    # 289 snapshots at stride 1
+    (PEAKON_PAIR_BREAKING + ["run.dt = 0.0052132512748285275"], 0),
+    # error-controlled steps, 30 snapshots
+    (PEAKON_PAIR_BREAKING[:4] + ["run.snapshot_stride = 10"], 0),
+    # one snapshot, so one process
+    (["grid.n = 64", "run.dt = 10.0", "run.t_end = 50.0", "initial.kind = sine"], 2),
+], ids=["fixed_dt", "adaptive", "early_stop"])
+def test_split_snapshot_writer_is_byte_identical(tmp_path, lines, expected_code):
+    cfg = parse_config(write_cfg(tmp_path, "\n".join(lines)))
+    one, three = tmp_path / "one", tmp_path / "three"
+    with np.errstate(all="ignore"), contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        code, record, _ = _simulate_to(cfg, one, 1)
+        assert _simulate_to(cfg, three, 3)[0] == code == expected_code
+    assert multiprocessing.active_children() == []
+    files = run_files(one)
+    assert len([k for k in files if k.startswith("snapshots/")]) == len(record.snapshots)
+    assert files == run_files(three)
+
+
+def every_step_cfg(tmp_path):
+    # 51 snapshots
+    return write_cfg(tmp_path, simulate_cfg(tmp_path).read_text() + "\nrun.snapshot_stride = 1\n",
+                     name="every_step.cfg")
+
+
+def test_split_snapshot_writer_failures_join_every_child(tmp_path, monkeypatch, capfd):
+    import rhosphere.cli as cli
+
+    cfg = parse_config(every_step_cfg(tmp_path))
+    parent = os.getpid()
+    write_snapshot = cli._write_snapshot
+
+    def fails_in_children(*args):
+        if os.getpid() != parent:
+            raise OSError("disk full")
+        write_snapshot(*args)
+
+    monkeypatch.setattr(cli, "_write_snapshot", fails_in_children)
+    with pytest.raises(RuntimeError, match=r"snapshot writer 1 of 3 \(pid \d+\) exited with code 1; "
+                                           r"snapshot writer 2 of 3 .* exited with code 1"):
+        _simulate_to(cfg, tmp_path / "a", 3)
+    assert capfd.readouterr().err.count("OSError: disk full") == 2
+    assert multiprocessing.active_children() == []
+    assert not (tmp_path / "a" / "metadata.txt").exists()
+
+    # the parent's own error propagates after the children are joined
+    monkeypatch.setattr(cli, "_write_snapshot", write_snapshot)
+    monkeypatch.setattr(cli, "_write_events", lambda out, record: 1 / 0)
+    with pytest.raises(ZeroDivisionError):
+        _simulate_to(cfg, tmp_path / "b", 3)
+    assert multiprocessing.active_children() == []
+    assert len(list((tmp_path / "b" / "snapshots").iterdir())) == 34  # 2 of every 3 of 51
+
+
+def test_simulate_with_piped_stdout_prints_once(tmp_path):
+    import rhosphere
+
+    env = dict(os.environ, PYTHONPATH=str(Path(rhosphere.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-m", "rhosphere.cli", "simulate", "--config",
+                           str(every_step_cfg(tmp_path)), "--out", str(tmp_path / "run")],
+                          env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert [line for line in done.stdout.splitlines() if line.startswith("wrote")] == [done.stdout.strip()]
+    assert len(list((tmp_path / "run" / "snapshots").iterdir())) == 51
 
 
 def test_simulate_flag_overrides_config(tmp_path):

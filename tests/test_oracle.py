@@ -16,6 +16,7 @@ from rhosphere import (
     resample_profile,
     sample_trajectory,
 )
+from rhosphere.integrate import StepLimitError
 
 
 def fd_rhs(u, h):
@@ -170,6 +171,17 @@ def test_evolve_rejects_bad_arguments(key, value):
     args = {"dt": 1e-3, "t_end": 0.01, key: value}
     with pytest.raises(ValueError, match=key):
         eulerian_evolve(u, **args)
+
+
+def test_evolve_step_limit(monkeypatch):
+    # 1e298 steps: rejected before any work; a right-hand side that cannot
+    # be built fails fast instead of looping where the limit is missing
+    import rhosphere.oracle as oracle
+
+    monkeypatch.setattr(oracle, "_SpectralRHS", None)
+    _, u = low_mode_profile(64)
+    with pytest.raises(StepLimitError, match="more than 10000000 steps"):
+        eulerian_evolve(u, dt=1e-300, t_end=0.01)
 
 
 def test_resample_band_limited_roundtrip():
