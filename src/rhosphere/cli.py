@@ -7,9 +7,14 @@ both solvers on the same initial profile and reports the distance,
 
 Output files are plain CSV / key = value text, floats rendered with
 repr() so that a rerun of the same configuration is byte-identical.
-``simulate`` writes the snapshot files from up to one process per CPU
-(forked children and this process, snapshot i from process i mod p); the
-bytes of the run directory do not depend on p.
+``simulate`` streams its snapshots to up to one writer per CPU (and per
+snapshot) while `evolve` runs: p - 1 children forked before the run,
+each sent raw float64 messages and allowed CREDITS files in flight, with
+this process holding the rest, up to PENDING_BYTES, and writing the
+oldest itself past that.  After the run this process writes series.csv
+and events.csv, then shares the snapshots still held; metadata.txt comes
+last.  With p = 1 each snapshot file is written as soon as `evolve`
+makes it.  The bytes of the run directory do not depend on p.
 
 Exit codes: 0 success, 1 configuration problems, 2 a run that stopped
 early (non-finite step or reference-solver blowup), 3 validation failure.
@@ -23,6 +28,7 @@ import os
 import platform
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from collections import deque
 from itertools import chain, product
 from pathlib import Path
 
@@ -32,7 +38,7 @@ from . import __version__
 from .config import DEFAULTS, ConfigError, RunConfig, parse_config
 from .grid import PeriodicGrid
 from .integrate import SimulationRecord, StepFailure, StepLimitError, default_dt, evolve, step_count
-from .lagrangian import H_CONVENTION_NOTE, energy, lagrangian_velocity
+from .lagrangian import H_CONVENTION_NOTE, LagrangianState, energy, lagrangian_velocity
 from .oracle import compare as compare_at
 from .oracle import eulerian_evolve
 from .reconstruct import flow_map, slope_field
@@ -78,63 +84,210 @@ def _write_events(out: Path, record: SimulationRecord) -> None:
     _write_lines(out / "events.csv", lines)
 
 
-def _write_snapshot(snapdir: Path, grid: PeriodicGrid, record: SimulationRecord, x: list[str], i: int) -> None:
-    """Fields of snapshot i and its file; x is the grid's x column."""
-    state = record.snapshots[i]
+def _write_snapshot(snapdir: Path, grid: PeriodicGrid, mu: float, x: list[str], state: LagrangianState,
+                    step: int) -> None:
+    """Fields of the snapshot at step and its file; x is the grid's x column."""
     fmap = flow_map(grid, state)
-    vel = lagrangian_velocity(grid, state, record.mu)
+    vel = lagrangian_velocity(grid, state, mu)
     slopes, valid = slope_field(state)
     columns = (state.rho, state.rho_t, fmap.knots[:grid.n], vel, slopes)
     rows = map(",".join, zip(x, *map(_floats, columns), map("01".__getitem__, valid.tolist())))
-    _write_lines(snapdir / f"snap_{record.snapshot_steps[i]:06d}.csv",
-                 chain(["x,rho,rho_t,K,u,ux,valid_ux"], rows))
+    _write_lines(snapdir / f"snap_{step:06d}.csv", chain(["x,rho,rho_t,K,u,ux,valid_ux"], rows))
 
 
-def _write_snapshots(snapdir: Path, grid: PeriodicGrid, record: SimulationRecord, x: list[str],
-                     indices: range) -> None:
-    for i in indices:
-        _write_snapshot(snapdir, grid, record, x, i)
+def _cpu_count() -> int:
+    """The CPUs this process may run on."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 def _cpus() -> int:
     """Processes a run's snapshot files may be written from: the CPUs this
     process may run on, or 1 where processes cannot be forked."""
-    if "fork" not in multiprocessing.get_all_start_methods():
-        return 1
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return _cpu_count() if "fork" in multiprocessing.get_all_start_methods() else 1
 
 
-def _write_run_files(out: Path, grid: PeriodicGrid, record: SimulationRecord, processes: int) -> None:
-    """series.csv, events.csv and the snapshot files, from p = min(processes,
-    snapshots) processes: this one and p - 1 forked children, snapshot i
-    from process i mod p.  The children read the record from the memory
-    they share with this process, so nothing is pickled; they are forked
-    before this process writes anything, and all are joined before this
-    returns or raises.  A child that exits non-zero is a RuntimeError."""
-    snapdir = out / "snapshots"
-    snapdir.mkdir(parents=True, exist_ok=True)
-    x = list(_floats(grid.x))
-    count = len(record.snapshots)
-    p = max(1, min(processes, count))
-    children = []
+# snapshot files a writer child may have in flight: the one it writes and
+# the next, so that it never waits for the parent to send
+CREDITS = 2
+# bytes of snapshot messages the parent holds for its writers; past this it
+# writes the oldest itself, so its memory does not grow with the snapshots
+PENDING_BYTES = 32 * 2**20
+
+
+def _message(state: LagrangianState, step: int) -> np.ndarray:
+    """A snapshot as one float64 message: step, t, k0, rho, rho_t."""
+    return np.concatenate(((step, state.t, state.k0), state.rho, state.rho_t))
+
+
+def _unpack(msg: np.ndarray) -> tuple[LagrangianState, int]:
+    n = (msg.size - 3) // 2
+    return LagrangianState(msg[3:3 + n], msg[3 + n:], float(msg[2]), float(msg[1])), int(msg[0])
+
+
+def _writer_child(snapdir: Path, grid: PeriodicGrid, mu: float, x: list[str], data: int, ack: int,
+                  inherited: list[int]) -> None:
+    """A writer child's loop: read a message, write its file, ack one byte,
+    until the parent closes the data pipe.  It first closes the parent's
+    pipe ends it inherited, its siblings' too, or their data pipes would
+    never reach end of file."""
+    for fd in inherited:
+        os.close(fd)
+    msg = np.empty(3 + 2 * grid.n)
+    with open(data, "rb") as pipe:
+        while pipe.readinto(memoryview(msg).cast("B")) == msg.nbytes:
+            _write_snapshot(snapdir, grid, mu, x, *_unpack(msg))
+            os.write(ack, b"\0")
+    os.close(ack)
+
+
+class _Child:
+    """The parent's end of one writer child: its process, data pipe, ack
+    pipe, files in flight, and how many files it may have in flight."""
+
+    def __init__(self, process, data, ack, window):
+        self.process, self.data, self.ack, self.window = process, data, ack, window
+        self.in_flight = 0
+        self.alive = True
+
+
+def _window(fd: int, msg_bytes: int) -> int:
+    """Files in flight a child's data pipe can hold without a send waiting
+    on the child: CREDITS, or fewer if the pipe cannot be made that large."""
+    import fcntl
+
     try:
-        for r in range(1, p):
-            # the fork context flushes stdout and stderr first, and the child
-            # leaves through os._exit, so no buffered output is written twice
-            child = multiprocessing.get_context("fork").Process(
-                target=_write_snapshots, args=(snapdir, grid, record, x, range(r, count, p)),
-                name=f"snapshot writer {r} of {p}")
-            child.start()
-            children.append(child)
-        _write_series(out, record)
-        _write_events(out, record)
-        _write_snapshots(snapdir, grid, record, x, range(0, count, p))
-    finally:
-        for child in children:
-            child.join()
-    failed = [f"{c.name} (pid {c.pid}) exited with code {c.exitcode}" for c in children if c.exitcode]
-    if failed:
-        raise RuntimeError("; ".join(failed))
+        size = fcntl.fcntl(fd, fcntl.F_SETPIPE_SZ, CREDITS * msg_bytes)
+    except (AttributeError, OSError):
+        size = 2**16
+    return max(1, min(CREDITS, size // msg_bytes))
+
+
+class _SnapshotWriters:
+    """The snapshot files of one run, written as `evolve` makes them.
+
+    With p = 1 each call writes its file at once.  Otherwise p - 1 forked
+    children write them: each snapshot becomes a message of raw float64
+    bytes, held in a deque until a child has fewer than its window of
+    files in flight, and sent down that child's pipe; the child acks each
+    file it finishes.  Nothing is pickled.  Past PENDING_BYTES held, this
+    process writes the oldest message itself.  After the run, `drain`
+    shares what is left: the children take messages from the front, this
+    process from the back.  `close` joins every child; a child that died
+    is a RuntimeError from `check`, never an exception inside `evolve`.
+    """
+
+    def __init__(self, snapdir: Path, grid: PeriodicGrid, mu: float, processes: int):
+        self.snapdir, self.grid, self.mu = snapdir, grid, mu
+        self.x = list(_floats(grid.x))
+        self.pending = deque()
+        self.pending_bytes = 0
+        self.children = []
+        msg_bytes = 8 * (3 + 2 * grid.n)
+        try:
+            for r in range(1, processes):
+                self._fork(f"snapshot writer {r} of {processes}", msg_bytes)
+        except BaseException:
+            self.close()
+            raise
+
+    def _fork(self, name: str, msg_bytes: int) -> None:
+        data_r, data_w = os.pipe()
+        ack_r, ack_w = os.pipe()
+        os.set_blocking(ack_r, False)
+        inherited = [fd for c in self.children for fd in (c.data, c.ack)] + [data_w, ack_r]
+        # the fork context flushes stdout and stderr first, and the child
+        # leaves through os._exit, so no buffered output is written twice
+        process = multiprocessing.get_context("fork").Process(
+            target=_writer_child, args=(self.snapdir, self.grid, self.mu, self.x, data_r, ack_w, inherited),
+            name=name)
+        self.children.append(_Child(process, data_w, ack_r, _window(data_w, msg_bytes)))
+        try:
+            process.start()
+        finally:
+            os.close(data_r)
+            os.close(ack_w)
+
+    def __call__(self, state: LagrangianState, step: int) -> None:
+        """evolve's on_snapshot: write the file, or queue it for a child."""
+        if not self.children:
+            _write_snapshot(self.snapdir, self.grid, self.mu, self.x, state, step)
+            return
+        msg = _message(state, step)
+        self.pending.append(msg)
+        self.pending_bytes += msg.nbytes
+        self._feed()
+        while self.pending_bytes > PENDING_BYTES:
+            self._write_own(self.pending.popleft())
+
+    def _write_own(self, msg: np.ndarray) -> None:
+        self.pending_bytes -= msg.nbytes
+        _write_snapshot(self.snapdir, self.grid, self.mu, self.x, *_unpack(msg))
+
+    def _free_child(self) -> _Child | None:
+        """A live child with room for one more file; acks are read only
+        when none has room."""
+        def with_room():
+            return next((c for c in self.children if c.alive and c.in_flight < c.window), None)
+
+        child = with_room()
+        if child is None:
+            self._collect_acks()
+            child = with_room()
+        return child
+
+    def _collect_acks(self) -> None:
+        for child in self.children:
+            if child.alive and child.in_flight:
+                try:
+                    acks = os.read(child.ack, 64)
+                except BlockingIOError:
+                    continue
+                child.in_flight -= len(acks)
+                # end of file: the child is gone
+                child.alive = bool(acks)
+
+    def _feed(self) -> None:
+        """Send from the front of the deque while a child has room."""
+        while self.pending and (child := self._free_child()) is not None:
+            msg = self.pending.popleft()
+            try:
+                view = memoryview(msg).cast("B")
+                while view:
+                    view = view[os.write(child.data, view):]
+            except BrokenPipeError:
+                child.alive = False
+                self.pending.appendleft(msg)
+                continue
+            self.pending_bytes -= msg.nbytes
+            child.in_flight += 1
+
+    def drain(self) -> None:
+        """Write every pending snapshot, this process from the back of the
+        deque while the children take from the front."""
+        while self.pending:
+            self._feed()
+            if self.pending:
+                self._write_own(self.pending.pop())
+
+    def close(self) -> None:
+        """End of input for every child, then join them all."""
+        for child in self.children:
+            if child.data >= 0:
+                os.close(child.data)
+                child.data = -1
+        for child in self.children:
+            if child.process.pid is not None:
+                child.process.join()
+            if child.ack >= 0:
+                os.close(child.ack)
+                child.ack = -1
+
+    def check(self) -> None:
+        """A RuntimeError naming each child that exited non-zero."""
+        failed = [f"{c.process.name} (pid {c.process.pid}) exited with code {c.process.exitcode}"
+                  for c in self.children if c.process.exitcode]
+        if failed:
+            raise RuntimeError("; ".join(failed))
 
 
 def _write_metadata(out: Path, command: str, cfg: RunConfig, record: SimulationRecord | None,
@@ -181,31 +334,48 @@ def _build_run(cfg: RunConfig):
     return grid, state, mu
 
 
-def _check_snapshot_grid(grid, state, mu, icfg):
-    """A run without run.dt too long for the snapshot grid of its default
-    spacing is a configuration problem."""
-    if icfg.dt is None:
-        try:
-            step_count(default_dt(grid, state, mu), icfg.t_end, "the snapshot spacing default_dt")
-        except StepLimitError as exc:
-            raise ConfigError(str(exc)) from None
+def _snapshot_count(grid, state, mu, icfg) -> int:
+    """Snapshots a run makes if it completes: every stride-th point of its
+    dt grid, and the last.  A run without run.dt too long for the snapshot
+    grid of its default spacing is a configuration problem."""
+    adaptive = icfg.dt is None
+    try:
+        steps, _ = step_count(default_dt(grid, state, mu) if adaptive else icfg.dt, icfg.t_end,
+                              "the snapshot spacing default_dt" if adaptive else "dt")
+    except StepLimitError as exc:
+        raise ConfigError(str(exc)) from None
+    return (steps - 1) // icfg.snapshot_stride + 2 if steps else 1
 
 
-def _simulate_to(cfg: RunConfig, out: Path, processes: int = 1):
-    """Run cfg and write its run directory, the snapshot files from up to
-    `processes` processes."""
+def _simulate_to(cfg: RunConfig, out: Path, processes: int = 1, observe=None):
+    """Run cfg and write its run directory, the snapshot files streamed to
+    up to `processes` processes while `evolve` runs; observe(state), when
+    given, sees each snapshot too."""
     grid, state, mu = _build_run(cfg)
     icfg = cfg.integrator_config()
-    _check_snapshot_grid(grid, state, mu, icfg)
+    processes = min(processes, _snapshot_count(grid, state, mu, icfg))
+    snapdir = out / "snapshots"
+    snapdir.mkdir(parents=True, exist_ok=True)
+    writers = _SnapshotWriters(snapdir, grid, mu, processes)
+    on_snapshot = writers
+    if observe is not None:
+        def on_snapshot(snapshot, step):
+            observe(snapshot)
+            writers(snapshot, step)
     code = 0
     try:
-        record = evolve(grid, state, mu, icfg)
-    except StepFailure as fail:
-        record = fail.record
-        print(f"run stopped early: {fail}", file=sys.stderr)
-        code = 2
-    out.mkdir(parents=True, exist_ok=True)
-    _write_run_files(out, grid, record, processes)
+        try:
+            record = evolve(grid, state, mu, icfg, on_snapshot=on_snapshot)
+        except StepFailure as fail:
+            record = fail.record
+            print(f"run stopped early: {fail}", file=sys.stderr)
+            code = 2
+        _write_series(out, record)
+        _write_events(out, record)
+        writers.drain()
+    finally:
+        writers.close()
+    writers.check()
     _write_metadata(out, "simulate", cfg, record, {"completed": code == 0})
     print(f"wrote {out}  (steps={record.series.t.size - 1}, events={len(record.events)}, "
           f"energy drift={record.energy_drift:.3e})")
@@ -238,7 +408,7 @@ def run_compare(cfg: RunConfig, out: Path | None) -> int:
     icfg = cfg.integrator_config()
     args = cfg.compare_args()
     t_list, cap, m = args["times"], args["slope_cap"], args["m"]
-    _check_snapshot_grid(grid, state, mu, icfg)
+    _snapshot_count(grid, state, mu, icfg)
     try:
         record = evolve(grid, state, mu, icfg)
     except StepFailure as fail:
@@ -284,14 +454,16 @@ def _sweep_worker(payload):
     cfg = RunConfig(dict(values))
     for key, val in assignment.items():
         cfg.values[key] = val
+    max_slope = 0.0
+
+    def observe(snapshot):
+        nonlocal max_slope
+        max_slope = max(max_slope, float(np.max(np.abs(slope_field(snapshot)[0]))))
+
     # the sweep is parallel across its points already
-    code, record, _ = _simulate_to(cfg, Path(run_dir), 1)
+    code, record, _ = _simulate_to(cfg, Path(run_dir), 1, observe)
     drift = record.energy_drift if record.series.t.size else None
     breaking = record.events[0].time if record.events else None
-    max_slope = 0.0
-    for snap in record.snapshots:
-        slopes, _ = slope_field(snap)
-        max_slope = max(max_slope, float(np.max(np.abs(slopes))))
     return assignment, code, breaking, drift, max_slope
 
 
@@ -306,7 +478,7 @@ def run_sweep(cfg: RunConfig, out: Path, workers: int) -> int:
         # reject a bad swept value before any run starts
         run_cfg = cfg.with_values(assignment)
         icfg = run_cfg.integrator_config()
-        _check_snapshot_grid(*_build_run(run_cfg), icfg)
+        _snapshot_count(*_build_run(run_cfg), icfg)
         payloads.append((cfg.values, assignment, str(out / f"run_{idx:04d}")))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -337,7 +509,7 @@ def _resolve_workers(arg_value) -> int:
     else:
         env = os.environ.get("RHO_SPHERE_WORKERS")
         if env is None:
-            return os.cpu_count() or 1
+            return _cpu_count()
         try:
             value = int(env)
         except ValueError:

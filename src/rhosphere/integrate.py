@@ -30,7 +30,9 @@ at t_end, dt being the given step or, when unset, `default_dt`.  An
 error-controlled run takes them from the cubic Hermite interpolant of the
 accepted step that contains them.  The interpolant needs no further
 evaluation: d rho/dt = rho_t, while d rho_t/dt and d k0/dt are the drho_t
-and the offset of the evaluations at both ends of the step.
+and the offset of the evaluations at both ends of the step.  The record
+keeps the snapshots, unless the caller takes each one through
+`evolve`'s on_snapshot callback as it is made.
 
 Wave breaking shows up as rho passing through zero at some labels.  That
 is a regular event for this system, not a failure, and the run continues
@@ -402,10 +404,13 @@ def _diagnostics_row(grid, state, ev, eps):
     )
 
 
-def evolve(grid: PeriodicGrid, state: LagrangianState, mu: float, cfg: IntegratorConfig) -> SimulationRecord:
+def evolve(grid: PeriodicGrid, state: LagrangianState, mu: float, cfg: IntegratorConfig,
+           on_snapshot=None) -> SimulationRecord:
     """Integrate to t_end, recording diagnostics, snapshots and events.
 
     Steps are fixed at cfg.dt, or error-controlled when cfg.dt is None.
+    Each snapshot goes to on_snapshot(state, step) when it is given, and
+    is then not kept in the record's snapshots and snapshot_steps.
     Raises ValueError for a dt or t_end no run accepts (StepLimitError
     when the steps or snapshot points would exceed MAX_STEPS), and
     StepFailure (with the record so far attached) if a step goes
@@ -421,11 +426,14 @@ def evolve(grid: PeriodicGrid, state: LagrangianState, mu: float, cfg: Integrato
         state = project(grid, state)
     ev = evaluate(grid, state, mu)
     record = SimulationRecord(mu=mu, dt=dt, dt_heuristic=heuristic, config=cfg, rhs_evaluations=1)
+    if on_snapshot is None:
+        def on_snapshot(snapshot, step):
+            record.snapshots.append(snapshot)
+            record.snapshot_steps.append(step)
     rows = _Rows(64 if adaptive else steps + 1)
     row = _diagnostics_row(grid, state, ev, cfg.breaking_eps)
     rows.add(0.0, row)
-    record.snapshots.append(state)
-    record.snapshot_steps.append(0)
+    on_snapshot(state, 0)
     in_band = abs(row[3]) < cfg.breaking_eps
     positive = state.rho > 0.0
     brackets = []
@@ -455,9 +463,8 @@ def evolve(grid: PeriodicGrid, state: LagrangianState, mu: float, cfg: Integrato
             positive = now_positive
 
             while snap <= steps and snap_t <= new.t:
-                record.snapshots.append(
-                    new if snap_t == new.t else _dense_state(grid, state, ev, new, new_ev, snap_t, cfg.projection))
-                record.snapshot_steps.append(snap)
+                on_snapshot(
+                    new if snap_t == new.t else _dense_state(grid, state, ev, new, new_ev, snap_t, cfg.projection), snap)
                 snap = steps + 1 if snap == steps else min(snap + cfg.snapshot_stride, steps)
                 snap_t = _grid_time(snap, steps, dt, cfg.t_end)
             state, ev = new, new_ev

@@ -7,9 +7,11 @@ import contextlib
 import io
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 import tempfile
+import time
 import warnings
 from pathlib import Path
 
@@ -18,8 +20,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rhosphere.cli as cli
 from rhosphere.cli import _fmt, _simulate_to, main
 from rhosphere.config import DEFAULTS, MAX_GRID_SIZE, SCHEMA, ConfigError, RunConfig, parse_config
+from rhosphere.integrate import StepFailure, evolve
 from rhosphere.lagrangian import lagrangian_velocity
 from rhosphere.reconstruct import flow_map, slope_field
 
@@ -110,8 +114,6 @@ def test_initial_spec_reflects_values():
 
 def test_grid_sizes_bounded_from_above(tmp_path, capsys, monkeypatch):
     # 2^40 nodes would take 8 TB per array; rejected before any is made
-    import rhosphere.cli as cli
-
     huge = 2**40
     with pytest.raises(ConfigError, match="grid.n must be a power of two from 16 to 1048576, got 1099511627776"):
         RunConfig({"grid.n": huge}).initial_spec()
@@ -215,6 +217,16 @@ PEAKON_PAIR_BREAKING = ["grid.n = 64", "initial.kind = peakon_pair", "initial.p 
                         "run.t_end = 1.5", "run.snapshot_stride = 1"]
 
 
+def library_record(cfg):
+    """The record a library evolve of cfg keeps, snapshots included; a
+    streamed simulate keeps none."""
+    grid, state, mu = cli._build_run(cfg)
+    try:
+        return grid, evolve(grid, state, mu, cfg.integrator_config())
+    except StepFailure as fail:
+        return grid, fail.record
+
+
 @pytest.mark.parametrize("lines,expected_code", [
     # a peakon pair through breaking, every step stored; the step is the
     # snapshot spacing default_dt gives this state
@@ -229,8 +241,10 @@ def test_writers_match_per_node_reference(tmp_path, lines, expected_code):
     cfg = parse_config(write_cfg(tmp_path, "\n".join(lines)))
     out = tmp_path / "run"
     with np.errstate(all="ignore"):
-        code, record, grid = _simulate_to(cfg, out)
+        code, streamed, _ = _simulate_to(cfg, out)
+        grid, record = library_record(cfg)
     assert code == expected_code
+    assert streamed.snapshots == []
     if expected_code == 0:
         assert record.events
         assert record.snapshot_steps == list(range(len(record.snapshots)))
@@ -251,20 +265,26 @@ def test_writers_match_per_node_reference(tmp_path, lines, expected_code):
     (PEAKON_PAIR_BREAKING + ["run.dt = 0.0052132512748285275"], 0),
     # error-controlled steps, 30 snapshots
     (PEAKON_PAIR_BREAKING[:4] + ["run.snapshot_stride = 10"], 0),
-    # one snapshot, so one process
+    # stops at its first step: one snapshot, written by whichever process gets it
     (["grid.n = 64", "run.dt = 10.0", "run.t_end = 50.0", "initial.kind = sine"], 2),
 ], ids=["fixed_dt", "adaptive", "early_stop"])
 def test_split_snapshot_writer_is_byte_identical(tmp_path, lines, expected_code):
     cfg = parse_config(write_cfg(tmp_path, "\n".join(lines)))
-    one, three = tmp_path / "one", tmp_path / "three"
+    runs = {p: tmp_path / f"p{p}" for p in (1, 2, 3)}
     with np.errstate(all="ignore"), contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(io.StringIO()):
-        code, record, _ = _simulate_to(cfg, one, 1)
-        assert _simulate_to(cfg, three, 3)[0] == code == expected_code
+        codes = {p: _simulate_to(cfg, out, p)[0] for p, out in runs.items()}
+        _, record = library_record(cfg)
+    assert set(codes.values()) == {expected_code}
     assert multiprocessing.active_children() == []
-    files = run_files(one)
-    assert len([k for k in files if k.startswith("snapshots/")]) == len(record.snapshots)
-    assert files == run_files(three)
+    if expected_code == 0:
+        # the writers forked are at most the snapshots a completed run makes
+        grid, state, mu = cli._build_run(cfg)
+        assert cli._snapshot_count(grid, state, mu, cfg.integrator_config()) == len(record.snapshots)
+    files = run_files(runs[1])
+    assert sorted(k for k in files if k.startswith("snapshots/")) == [
+        f"snapshots/snap_{i:06d}.csv" for i in record.snapshot_steps]
+    assert files == run_files(runs[2]) == run_files(runs[3])
 
 
 def every_step_cfg(tmp_path):
@@ -273,10 +293,19 @@ def every_step_cfg(tmp_path):
                      name="every_step.cfg")
 
 
-def test_split_snapshot_writer_failures_join_every_child(tmp_path, monkeypatch, capfd):
-    import rhosphere.cli as cli
+def present_files_match(out, reference):
+    """Every file of the run directory out is byte-identical to its namesake
+    in reference; returns how many snapshot files out holds."""
+    files = run_files(out)
+    assert files and all(reference[k] == v for k, v in files.items())
+    return len([k for k in files if k.startswith("snapshots/")])
 
+
+def test_split_snapshot_writer_failures_join_every_child(tmp_path, monkeypatch, capfd):
     cfg = parse_config(every_step_cfg(tmp_path))
+    with contextlib.redirect_stdout(io.StringIO()):
+        _simulate_to(cfg, tmp_path / "ref", 1)
+    reference = run_files(tmp_path / "ref")
     parent = os.getpid()
     write_snapshot = cli._write_snapshot
 
@@ -292,6 +321,7 @@ def test_split_snapshot_writer_failures_join_every_child(tmp_path, monkeypatch, 
     assert capfd.readouterr().err.count("OSError: disk full") == 2
     assert multiprocessing.active_children() == []
     assert not (tmp_path / "a" / "metadata.txt").exists()
+    present_files_match(tmp_path / "a", reference)
 
     # the parent's own error propagates after the children are joined
     monkeypatch.setattr(cli, "_write_snapshot", write_snapshot)
@@ -299,7 +329,100 @@ def test_split_snapshot_writer_failures_join_every_child(tmp_path, monkeypatch, 
     with pytest.raises(ZeroDivisionError):
         _simulate_to(cfg, tmp_path / "b", 3)
     assert multiprocessing.active_children() == []
-    assert len(list((tmp_path / "b" / "snapshots").iterdir())) == 34  # 2 of every 3 of 51
+    present_files_match(tmp_path / "b", reference)
+    assert not (tmp_path / "b" / "metadata.txt").exists()
+
+
+FAILING_CHILD = """
+import multiprocessing, sys
+from pathlib import Path
+
+import rhosphere.cli as cli
+from rhosphere.config import parse_config
+
+write_snapshot = cli._write_snapshot
+written = 0
+
+
+def fails_on_kth(*args):
+    global written
+    written += 1
+    if multiprocessing.current_process().name == "snapshot writer 1 of 3" and written == int(sys.argv[3]):
+        raise OSError("disk full")
+    write_snapshot(*args)
+
+
+cli._write_snapshot = fails_on_kth
+try:
+    cli._simulate_to(parse_config(sys.argv[1]), Path(sys.argv[2]), 3)
+except RuntimeError as exc:
+    print(f"RuntimeError: {exc}")
+print(f"active children: {multiprocessing.active_children()}")
+"""
+
+
+def test_writer_child_failing_mid_run(tmp_path):
+    # 501 snapshots; writer 1 fails on its 5th file while the run goes on,
+    # so the parent's later sends to it meet a closed pipe
+    cfg = write_cfg(tmp_path, simulate_cfg(tmp_path).read_text()
+                    + "\nrun.t_end = 0.5\nrun.snapshot_stride = 1\n", name="long.cfg")
+    with contextlib.redirect_stdout(io.StringIO()):
+        _simulate_to(parse_config(cfg), tmp_path / "ref", 1)
+    script = write_cfg(tmp_path, FAILING_CHILD, name="failing_child.py")
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    done = subprocess.run([sys.executable, str(script), str(cfg), str(tmp_path / "run"), "5"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == [
+        line for line in done.stdout.splitlines() if line.startswith(("RuntimeError", "active"))]
+    error, active = done.stdout.splitlines()
+    assert re.fullmatch(r"RuntimeError: snapshot writer 1 of 3 \(pid \d+\) exited with code 1", error)
+    assert active == "active children: []"
+    # the child's own traceback, and nothing from inside evolve
+    assert done.stderr.count("Traceback") == 1
+    assert "OSError: disk full" in done.stderr
+    assert "BrokenPipeError" not in done.stderr
+    assert not (tmp_path / "run" / "metadata.txt").exists()
+    present_files_match(tmp_path / "run", run_files(tmp_path / "ref"))
+
+
+def test_streamed_writer_holds_at_most_the_cap(tmp_path, monkeypatch):
+    # slow children and a cap of two messages: the parent must write the
+    # oldest pending snapshots itself while evolve runs
+    cfg = parse_config(every_step_cfg(tmp_path))
+    with contextlib.redirect_stdout(io.StringIO()):
+        _simulate_to(cfg, tmp_path / "ref", 1)
+    cap = 2 * 8 * (3 + 2 * 64)
+    monkeypatch.setattr(cli, "PENDING_BYTES", cap)
+    parent = os.getpid()
+    write_snapshot = cli._write_snapshot
+    own = []
+
+    def slow_in_children(*args):
+        if os.getpid() == parent:
+            own.append(args[-1])
+        else:
+            time.sleep(0.02)
+        write_snapshot(*args)
+
+    put = cli._SnapshotWriters.__call__
+    held = []
+
+    def checked_put(self, state, step):
+        written = len(own)
+        put(self, state, step)
+        assert self.pending_bytes == sum(m.nbytes for m in self.pending) <= cap
+        held.append((self.pending_bytes, len(own) - written))
+
+    monkeypatch.setattr(cli, "_write_snapshot", slow_in_children)
+    monkeypatch.setattr(cli._SnapshotWriters, "__call__", checked_put)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert _simulate_to(cfg, tmp_path / "run", 3)[0] == 0
+    assert multiprocessing.active_children() == []
+    assert len(held) == 51
+    assert max(b for b, _ in held) == cap
+    assert sum(w for _, w in held) > 0  # written by the parent during the run
+    assert run_files(tmp_path / "run") == run_files(tmp_path / "ref")
 
 
 def test_simulate_with_piped_stdout_prints_once(tmp_path):
@@ -706,8 +829,6 @@ def test_compare_of_a_run_that_stops_early_exits_2(tmp_path, capsys):
 ])
 def test_compare_rejects_bad_oracle_keys(tmp_path, capsys, line, monkeypatch):
     # RunConfig checks them before any run starts
-    import rhosphere.cli as cli
-
     monkeypatch.setattr(cli, "evolve", None)
     cfg = write_cfg(tmp_path, "\n".join(["grid.n = 64", "run.t_end = 0.05", line]))
     assert main(["compare", "--config", str(cfg)]) == 1
@@ -763,6 +884,17 @@ def test_sweep_worker_env_must_be_positive_integer(tmp_path, capsys, monkeypatch
     assert "RHO_SPHERE_WORKERS" in capsys.readouterr().err
     monkeypatch.setenv("RHO_SPHERE_WORKERS", "0")
     assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "s")]) == 1
+
+
+def test_sweep_workers_default_to_the_cpus_this_process_may_use(monkeypatch):
+    # a host with 64 CPUs, of which this process may run on 3
+    monkeypatch.delenv("RHO_SPHERE_WORKERS", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 5, 7}, raising=False)
+    assert cli._resolve_workers(None) == 3
+    assert cli._resolve_workers(5) == 5
+    if "fork" in multiprocessing.get_all_start_methods():
+        assert cli._cpus() == 3
 
 
 def test_version_flag(capsys):

@@ -117,6 +117,36 @@ def test_snapshot_cadence():
         assert snap.t == pytest.approx(rec.series.t[step])
 
 
+@pytest.mark.parametrize("dt,t_end,stride", [
+    (1e-2, 0.25, 5),
+    # error-controlled: the snapshots are dense-output states
+    (None, 0.25, 10),
+    # the first step overflows: the initial state, then StepFailure
+    (50.0, 500.0, 1),
+], ids=["fixed", "adaptive", "step_failure"])
+def test_on_snapshot_takes_every_snapshot(dt, t_end, stride):
+    grid, state, mu = initial_state(InitialSpec("sine", 64, amplitude=1.0))
+    cfg = IntegratorConfig(dt=dt, t_end=t_end, snapshot_stride=stride)
+
+    def run(**kwargs):
+        try:
+            return evolve(grid, state, mu, cfg, **kwargs)
+        except StepFailure as fail:
+            return fail.record
+
+    taken = []
+    with np.errstate(all="ignore"):
+        kept = run()
+        streamed = run(on_snapshot=lambda snap, step: taken.append((step, snap)))
+    assert streamed.snapshots == [] and streamed.snapshot_steps == []
+    assert [step for step, _ in taken] == kept.snapshot_steps
+    for (_, a), b in zip(taken, kept.snapshots):
+        assert (a.t, a.k0) == (b.t, b.k0)
+        assert np.array_equal(a.rho, b.rho) and np.array_equal(a.rho_t, b.rho_t)
+    assert len(taken) == 1 if dt == 50.0 else len(taken) > 3
+    assert np.array_equal(streamed.series.energy, kept.series.energy)
+
+
 @pytest.mark.parametrize("dt,t_end", [(1e-2, 0.1), (0.03, 0.1), (1e-3, 0.5)])
 def test_evolve_ends_exactly_at_t_end(dt, t_end):
     # step i ends at i dt and the last step at t_end itself; summing the
