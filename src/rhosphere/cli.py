@@ -408,7 +408,7 @@ def run_compare(cfg: RunConfig, out: Path | None) -> int:
     icfg = cfg.integrator_config()
     args = cfg.compare_args()
     t_list, cap, m = args["times"], args["slope_cap"], args["m"]
-    _snapshot_count(grid, state, mu, icfg)
+    _snapshot_count(grid, state, mu, icfg)  # for its ConfigError only
     try:
         record = evolve(grid, state, mu, icfg)
     except StepFailure as fail:

@@ -332,6 +332,21 @@ def test_split_snapshot_writer_failures_join_every_child(tmp_path, monkeypatch, 
     present_files_match(tmp_path / "b", reference)
     assert not (tmp_path / "b" / "metadata.txt").exists()
 
+    # and so does an error inside evolve, at its tenth snapshot
+    def evolve_fails(grid, state, mu, icfg, on_snapshot):
+        def failing(snapshot, step):
+            if step == 10:
+                raise KeyboardInterrupt
+            on_snapshot(snapshot, step)
+        return evolve(grid, state, mu, icfg, on_snapshot=failing)
+
+    monkeypatch.setattr(cli, "evolve", evolve_fails)
+    with pytest.raises(KeyboardInterrupt):
+        _simulate_to(cfg, tmp_path / "c", 3)
+    assert multiprocessing.active_children() == []
+    assert present_files_match(tmp_path / "c", reference) <= 10
+    assert not (tmp_path / "c" / "series.csv").exists()
+
 
 FAILING_CHILD = """
 import multiprocessing, sys
