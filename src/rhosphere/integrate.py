@@ -133,6 +133,8 @@ class SimulationRecord:
 
     dt is the snapshot spacing: the step of a fixed-step run, and
     dt_heuristic when the step was error-controlled (adaptive).
+    snapshots and snapshot_steps stay empty when `evolve` handed each
+    snapshot to its on_snapshot callback instead.
     """
 
     mu: float

@@ -257,6 +257,14 @@ def bump_test(center: float, width: float, t0: float, t1: float) -> TestFunction
     return TestFunction(t0, t1, phi, phi_t, phi_x)
 
 
+def _kept_snapshots(record) -> list[LagrangianState]:
+    """The record's snapshots; a record whose snapshots went to evolve's
+    on_snapshot callback keeps none to interpolate between."""
+    if not record.snapshots:
+        raise ValueError("the record keeps no snapshots; evolve gave them to on_snapshot")
+    return record.snapshots
+
+
 def state_at(record, t: float) -> LagrangianState:
     """State at time t, from the cubic Hermite interpolant between the
     bracketing snapshots, the one `evolve` uses inside a step; its slopes
@@ -266,13 +274,14 @@ def state_at(record, t: float) -> LagrangianState:
     the snapshot spacing, so it is projected back; without that the
     reconstructed velocity picks up a spurious non-periodic part.
     """
-    times = np.array([s.t for s in record.snapshots])
+    snapshots = _kept_snapshots(record)
+    times = np.array([s.t for s in snapshots])
     if not (times[0] <= t <= times[-1]):
         raise ValueError(f"t = {t} outside the recorded snapshot span")
     if times.size == 1:
-        return record.snapshots[0]
+        return snapshots[0]
     j = int(np.clip(np.searchsorted(times, t, side="right") - 1, 0, times.size - 2))
-    a, b = record.snapshots[j], record.snapshots[j + 1]
+    a, b = snapshots[j], snapshots[j + 1]
     if t == a.t:
         return a
     if t == b.t:
@@ -316,7 +325,7 @@ def weak_residual(
         if abs(vals[0] - vals[1]) > 1e-10 * (1.0 + np.max(np.abs(vals))):
             raise ValueError("test function must be periodic in space")
 
-    n = record.snapshots[0].rho.size
+    n = _kept_snapshots(record)[0].rho.size
     grid = PeriodicGrid(n)
     m = m if m is not None else n
     egrid = PeriodicGrid(m)

@@ -157,6 +157,16 @@ def test_state_at_endpoints_and_interior():
         state_at(rec, 99.0)
 
 
+def test_a_record_without_snapshots_is_a_value_error():
+    # its snapshots went to evolve's on_snapshot callback
+    grid, state, mu = initial_state(InitialSpec("sine", 64, amplitude=0.2))
+    rec = evolve(grid, state, mu, IntegratorConfig(dt=1e-2, t_end=0.5), on_snapshot=lambda snap, step: None)
+    with pytest.raises(ValueError, match="keeps no snapshots"):
+        state_at(rec, 0.25)
+    with pytest.raises(ValueError, match="keeps no snapshots"):
+        weak_residual(rec, mu, bump_test(center=0.5, width=0.2, t0=0.1, t1=0.4), m=64)
+
+
 def test_state_at_matches_a_stride_1_run_at_mid_times():
     # Hermite between snapshots 10 steps apart, against the stored steps
     # half-way between them, through the edge breaking (t ~ 1.26) and the
