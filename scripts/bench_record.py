@@ -1,17 +1,23 @@
 """Record the benchmark of a change, and optionally of its parent, in BENCH_<pr>.json.
 
     python3 scripts/bench_record.py --pr N --baseline ../parent-checkout
+    python3 scripts/bench_record.py --pr N --baseline ../parent-checkout \
+        --held-out 7 --workloads smallgrid_io
 
-Runs `perfbench/run.py` for every workload, REPEATS times at `--trace 0`
-(end-to-end metrics) and once at `--trace 1` (per-layer metrics), each
-run as long as BENCHMARK.json sets, in this checkout and, with
-`--baseline`, in another checkout of the repository.  With a baseline the
-two checkouts alternate run by run, so that a slow spell of the host falls
-on both alike.  The output holds each run's result line (metrics, failed
+Runs `perfbench/run.py` for every workload (or those of `--workloads`),
+REPEATS times at `--trace 0` (end-to-end metrics) and once at `--trace 1`
+(per-layer metrics), each run as long as BENCHMARK.json sets, in this
+checkout and, with `--baseline`, in another checkout of the repository.
+With a baseline the two checkouts alternate run by run, so that a slow
+spell of the host falls on both alike.  The output holds each run's result line (metrics, failed
 operations), the machine (processor count, Python, numpy and BLAS, as
 perfbench records them) and, with a baseline, a summary of each
 end-to-end metric: both medians, the baseline's interquartile range, the
 ratio of the medians and the number of pairs the change won.
+
+With `--held-out SEED` the runs use that seed instead, only at `--trace 0`,
+and go under the key "held_out" of the existing BENCH_<pr>.json, so that a
+gain measured while working on seed 1 is checked on a seed it was not.
 """
 
 from __future__ import annotations
@@ -41,10 +47,10 @@ def commit_of(checkout: Path) -> dict | None:
     return {"head": head.stdout.strip(), "modified": bool(status.stdout.strip())}
 
 
-def run_one(checkout: Path, workload: str, trace: int) -> tuple[dict, dict]:
+def run_one(checkout: Path, workload: str, trace: int, seed: int = SEED) -> tuple[dict, dict]:
     """(record, result) of one perfbench run in `checkout`."""
     done = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(SEED),
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(SECONDS), "--trace", str(trace)],
         cwd=checkout, capture_output=True, text=True, check=True)
     lines = done.stdout.strip().splitlines()
@@ -71,20 +77,31 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--pr", type=int, required=True, help="number in the output name BENCH_<pr>.json")
     ap.add_argument("--baseline", type=Path, help="checkout to measure alongside this one")
+    ap.add_argument("--held-out", type=int, metavar="SEED",
+                    help="run this seed at --trace 0 only and add the runs to BENCH_<pr>.json")
+    ap.add_argument("--workloads", default=",".join(WORKLOADS), help="comma-separated (default: all)")
     args = ap.parse_args(argv)
+    workloads = args.workloads.split(",")
+    if unknown := set(workloads) - set(WORKLOADS):
+        ap.error(f"unknown workloads {sorted(unknown)}")
+    path = ROOT / f"BENCH_{args.pr}.json"
+    if args.held_out is not None and not path.exists():
+        ap.error(f"{path.name} must exist to add held-out runs to")
+    seed = SEED if args.held_out is None else args.held_out
+    traces = ((0, REPEATS),) if args.held_out is not None else ((0, REPEATS), (1, 1))
 
     checkouts = {"change": ROOT}
     if args.baseline is not None:
         checkouts["baseline"] = args.baseline.resolve()
-    runs = {name: {w: {"trace0": [], "trace1": None} for w in WORKLOADS} for name in checkouts}
+    runs = {name: {w: {"trace0": [], "trace1": None} for w in workloads} for name in checkouts}
     machine = None
-    for workload in WORKLOADS:
-        for trace, repeats in ((0, REPEATS), (1, 1)):
+    for workload in workloads:
+        for trace, repeats in traces:
             for repeat in range(repeats):
                 # alternate which checkout runs first
                 order = list(checkouts.items())[::-1 if repeat % 2 else 1]
                 for name, checkout in order:
-                    record, result = run_one(checkout, workload, trace)
+                    record, result = run_one(checkout, workload, trace, seed)
                     machine = machine or record["machine"]
                     entry = {"jobs": record["jobs"], "failed_operations": record["failed_operations"], **result}
                     if trace == 0:
@@ -94,13 +111,15 @@ def main(argv=None) -> int:
                     print(f"{name} {workload} trace {trace}: {result['failed']} failed of {result['attempted']}",
                           file=sys.stderr)
 
-    out = {"pr": args.pr, "seed": SEED, "seconds": SECONDS, "repeats": REPEATS,
+    out = {"pr": args.pr, "seed": seed, "seconds": SECONDS, "repeats": REPEATS,
            "machine": machine, "commits": {name: commit_of(c) for name, c in checkouts.items()},
            "runs": runs}
     if "baseline" in checkouts:
         out["summary"] = {w: summary(runs["change"][w]["trace0"], runs["baseline"][w]["trace0"])
-                          for w in WORKLOADS}
-    path = ROOT / f"BENCH_{args.pr}.json"
+                          for w in workloads}
+    if args.held_out is not None:
+        held_out, out = out, json.loads(path.read_text(encoding="utf-8"))
+        out["held_out"] = held_out
     path.write_text(json.dumps(out, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {path}")
     return 0

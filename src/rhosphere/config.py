@@ -25,6 +25,11 @@ class ConfigError(Exception):
 # largest grid.n, validate.n and compare.m: a node count past it is a
 # typo, whose arrays could take a host's memory
 MAX_GRID_SIZE = 2**20
+# largest validate.n: the identity suite's direct kernel route
+# (`lagrangian._exp_partials_direct`) builds (n/2+1) x n index and DFT
+# matrices, about 12 n^2 bytes: 0.2 GB at 4096 nodes, 13 GB at 2^15 and
+# 13 TB at MAX_GRID_SIZE
+MAX_VALIDATE_N = 4096
 
 _BOOLS = {"true": True, "false": False, "yes": True, "no": False, "on": True, "off": False}
 
@@ -222,14 +227,19 @@ class RunConfig:
 
     def validation_args(self) -> dict[str, int]:
         """Keyword arguments of full_validation; a battery that would check
-        no state, or could not build its grid or generator, is a ConfigError."""
+        no state, could not build its grid or generator, or would build
+        direct-route matrices past MAX_VALIDATE_N, is a ConfigError."""
         n_states = int(self.get("validate.n_states"))
         if n_states < 1:
             raise ConfigError(f"validate.n_states must be >= 1, got {n_states}")
         seed = int(self.get("validate.seed"))
         if seed < 0:
             raise ConfigError(f"validate.seed must be >= 0, got {seed}")
-        return {"n": self._grid_size("validate.n"), "seed": seed, "n_states": n_states}
+        n = self._grid_size("validate.n")
+        if n > MAX_VALIDATE_N:
+            raise ConfigError(f"validate.n must be at most {MAX_VALIDATE_N}, whose direct-route "
+                              f"matrices take about 0.2 GB, got {n}")
+        return {"n": n, "seed": seed, "n_states": n_states}
 
 
 def parse_config(path: str | Path) -> RunConfig:

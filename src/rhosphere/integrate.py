@@ -25,6 +25,18 @@ breaking, so the step is limited by accuracy alone; a step the
 controller shrinks below t_end / MAX_STEPS stops the run with
 StepFailure instead of looping on.
 
+A run steps in one workspace, allocated when it starts: the stacked
+start state of an RK4 step, its stage state and slope, the weighted sum
+of its slopes and scratch rows for the diagnostics.  The right-hand side
+writes its intermediate fields into the grid's own work buffers.  A state
+leaves the workspace once per step, projected (or copied, without
+projection) into a new (2, n) array, so a kept snapshot holds its own 2n
+floats and pins no buffer.  Each arithmetic operation is the one an
+allocating version would make, in the same order, so a trajectory is the
+same bit for bit however its arrays are held.  The projection's inner
+products stay pairwise sums: a BLAS dot product rounds differently, and
+the energy-drift order of the acceptance criteria sits at round-off.
+
 Snapshots are the states at t = i dt for every snapshot_stride-th i and
 at t_end, dt being the given step or, when unset, `default_dt`.  An
 error-controlled run takes them from the cubic Hermite interpolant of the
@@ -194,39 +206,68 @@ def step_count(dt: float, t_end: float, name: str = "dt") -> tuple[int, bool]:
 
 
 def project(grid: PeriodicGrid, state: LagrangianState) -> LagrangianState:
-    """Renormalise rho to the unit sphere, then remove the radial part of rho_t."""
-    norm2 = (state.rho * state.rho).sum() * grid._inv_n
+    """Renormalise rho to the unit sphere, then remove the radial part of rho_t.
+
+    The new state's rho and rho_t are the rows of one new (2, n) array.
+    The inner products are pairwise sums (np.add.reduce, which .sum()
+    calls); BLAS dot products would round differently.
+    """
+    new = np.empty((2, grid.n))
+    rho, rho_t = new
+    norm2 = np.add.reduce(np.multiply(state.rho, state.rho, out=rho)) * grid._inv_n
     if norm2 <= 0.0:
         raise ValueError("cannot project a state with vanishing rho norm")
-    rho = state.rho / math.sqrt(norm2)
-    rho_t = state.rho_t - ((rho * state.rho_t).sum() * grid._inv_n) * rho
+    np.divide(state.rho, math.sqrt(norm2), out=rho)
+    radial = np.add.reduce(np.multiply(rho, state.rho_t, out=rho_t)) * grid._inv_n
+    np.subtract(state.rho_t, np.multiply(rho, radial, out=rho_t), out=rho_t)
     return LagrangianState(rho, rho_t, state.k0, state.t)
 
 
-def _advance(grid, state, mu, dt, stage1, t):
+class _Workspace:
+    """The arrays a run steps in, allocated once per run.
+
+    y is the stacked start state of an RK4 step and acc its weighted sum
+    of slopes, which ends as the new state.  A stage state sits in rows
+    0-1 of a (3, n) block, and rows 1-2 are then its slope once row 2
+    holds drho_t, since the slope of rho is rho_t itself.  tmp holds
+    scaled slopes.  The diagnostics row uses a row of tmp and the mask
+    below, of the labels in the flat set.
+    """
+
+    def __init__(self, n):
+        self.y = np.empty((2, n))
+        self.acc = np.empty((2, n))
+        self.tmp = np.empty((2, n))
+        stage = np.empty((3, n))
+        self.stage_state, self.stage_slope = stage[:2], stage[1:]
+        self.stage_rows = tuple(stage)
+        self.scratch = self.tmp[0]
+        self.below = np.empty(n, dtype=bool)
+
+
+def _advance(grid, state, mu, dt, stage1, t, ws):
     """One RK4 step reusing a precomputed first stage, ending at time t.
 
     rho and rho_t advance together as the two rows of one (2, n) array, so
-    each stage state and each update is one array operation.  The slope of
-    rho is rho_t itself: a stage state sits in rows 0-1 of a (3, n) work
-    array, and rows 1-2 are then its slope once row 2 holds drho_t.
+    each stage state and each update is one array operation, in the
+    workspace ws.  The new state's rows are ws.acc, which the next step
+    overwrites.
     """
-    y = np.empty((2, grid.n))
+    y, acc, tmp, ys, k = ws.y, ws.acc, ws.tmp, ws.stage_state, ws.stage_slope
+    rho_s, rho_t_s, drho_t_s = ws.stage_rows
     y[0] = state.rho
     y[1] = state.rho_t
     k1 = stage1.slope
     hd = 0.5 * dt
-    work = np.empty((3, grid.n))
-    ys, k = work[:2], work[1:]
-    np.add(y, hd * k1, out=ys)
-    o2 = _rhs_arrays(grid, ys[0], ys[1], mu, work[2])[0]
-    acc = k * 2.0
+    np.add(y, np.multiply(k1, hd, out=tmp), out=ys)
+    o2 = _rhs_arrays(grid, rho_s, rho_t_s, mu, drho_t_s)[0]
+    np.multiply(k, 2.0, out=acc)
     acc += k1
-    np.add(y, hd * k, out=ys)
-    o3 = _rhs_arrays(grid, ys[0], ys[1], mu, work[2])[0]
-    acc += 2.0 * k
-    np.add(y, dt * k, out=ys)
-    o4 = _rhs_arrays(grid, ys[0], ys[1], mu, work[2])[0]
+    np.add(y, np.multiply(k, hd, out=tmp), out=ys)
+    o3 = _rhs_arrays(grid, rho_s, rho_t_s, mu, drho_t_s)[0]
+    acc += np.multiply(k, 2.0, out=tmp)
+    np.add(y, np.multiply(k, dt, out=tmp), out=ys)
+    o4 = _rhs_arrays(grid, rho_s, rho_t_s, mu, drho_t_s)[0]
     acc += k
     acc *= dt / 6.0
     acc += y
@@ -240,21 +281,33 @@ def _grid_time(i, steps, dt, t_end):
     return t_end if i == steps else i * dt
 
 
+def _at_argmin(a):
+    """a.min(), or a.all() for a mask, read at the index argmin finds: the
+    same value, a NaN included, at a fraction of a reduction's cost."""
+    return a[a.argmin()]
+
+
+def _at_argmax(a):
+    """a.max(), or a.any() for a mask, likewise."""
+    return a[a.argmax()]
+
+
 def _finite(state):
-    return bool(np.isfinite(state.rho).all() and np.isfinite(state.rho_t).all() and math.isfinite(state.k0))
+    return bool(_at_argmin(np.isfinite(state.rho)) and _at_argmin(np.isfinite(state.rho_t))
+                and math.isfinite(state.k0))
 
 
-def _fixed_steps(grid, state, ev, mu, cfg, dt, steps, uniform, record):
+def _fixed_steps(grid, state, ev, mu, cfg, dt, steps, uniform, record, ws):
     """Step i of size dt ends at point i of the dt grid.  Yields each
-    step's (state, evaluation)."""
+    step's (state, evaluation); the states own their arrays."""
     for i in range(1, steps + 1):
         dt_i = dt if (uniform or i < steps) else cfg.t_end - (steps - 1) * dt
         t_i = _grid_time(i, steps, dt, cfg.t_end)
-        state = _advance(grid, state, mu, dt_i, ev, t_i)
+        state = _advance(grid, state, mu, dt_i, ev, t_i, ws)
         if not _finite(state):
             raise StepFailure(i, t_i, record)
-        if cfg.projection:
-            state = project(grid, state)
+        # the step ended in the workspace; the state leaves it here
+        state = project(grid, state) if cfg.projection else state.copy()
         ev = evaluate(grid, state, mu)
         record.rhs_evaluations += 4
         yield state, ev
@@ -389,19 +442,22 @@ class _Rows:
         return TimeSeries(*self.cols[:, :k], self.argmin[:k])
 
 
-def _diagnostics_row(grid, state, ev, eps):
-    # every entry comes from fields the evaluation at this state formed
+def _diagnostics_row(grid, state, ev, eps, ws):
+    # every entry comes from fields the evaluation at this state formed;
+    # the sums are np.add.reduce, which .sum() calls through a Python
+    # wrapper, so they are the same pairwise sums
     inv_n = grid._inv_n
-    amin = int(np.argmin(state.rho))
+    scratch = ws.scratch
+    amin = int(state.rho.argmin())
     return (
-        (float(ev.w.sum()) + 2.0 * float(ev.rho_t2.sum())) * inv_n,
+        (float(np.add.reduce(ev.w)) + 2.0 * float(np.add.reduce(ev.rho_t2))) * inv_n,
         abs(ev.alpha - 1.0),
         abs(0.5 * ev.flux),
         float(state.rho[amin]),
-        np.count_nonzero(ev.rho2 < eps * eps) * inv_n,
+        np.count_nonzero(np.less(ev.rho2, eps * eps, out=ws.below)) * inv_n,
         float(np.dot(ev.vel, ev.rho2)) * inv_n,
-        float((ev.rho2 + ev.rho_t2).min()),
-        float(np.abs(ev.gap).max()),
+        float(_at_argmin(np.add(ev.rho2, ev.rho_t2, out=scratch))),
+        float(_at_argmax(np.abs(ev.gap, out=scratch))),
         amin,
     )
 
@@ -433,7 +489,8 @@ def evolve(grid: PeriodicGrid, state: LagrangianState, mu: float, cfg: Integrato
             record.snapshots.append(snapshot)
             record.snapshot_steps.append(step)
     rows = _Rows(64 if adaptive else steps + 1)
-    row = _diagnostics_row(grid, state, ev, cfg.breaking_eps)
+    ws = _Workspace(grid.n)
+    row = _diagnostics_row(grid, state, ev, cfg.breaking_eps, ws)
     rows.add(0.0, row)
     on_snapshot(state, 0)
     in_band = abs(row[3]) < cfg.breaking_eps
@@ -446,16 +503,16 @@ def evolve(grid: PeriodicGrid, state: LagrangianState, mu: float, cfg: Integrato
     if adaptive:
         stepper = _adaptive_steps(grid, state, ev, mu, cfg, heuristic, record)
     else:
-        stepper = _fixed_steps(grid, state, ev, mu, cfg, dt, steps, uniform, record)
+        stepper = _fixed_steps(grid, state, ev, mu, cfg, dt, steps, uniform, record, ws)
     try:
         for new, new_ev in stepper:
-            row = _diagnostics_row(grid, new, new_ev, cfg.breaking_eps)
+            row = _diagnostics_row(grid, new, new_ev, cfg.breaking_eps, ws)
             rows.add(new.t, row)
 
             now_positive = new.rho > 0.0
             flipped = now_positive != positive
             now_in_band = abs(row[3]) < cfg.breaking_eps
-            if flipped.any():
+            if _at_argmax(flipped):
                 crossed = np.flatnonzero(flipped)
                 ends = np.stack((state.rho[crossed], new.rho[crossed], state.rho_t[crossed], new.rho_t[crossed]))
                 brackets.append((state.t, new.t, row[3], crossed, ends))

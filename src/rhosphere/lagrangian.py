@@ -99,7 +99,7 @@ class LagrangianState:
         return LagrangianState(self.rho.copy(), self.rho_t.copy(), self.k0, self.t)
 
 
-def _exp_partials_fast(grid, p_tilde, alpha, w):
+def _exp_partials_fast(grid, p_tilde, alpha, w, et):
     """Near-lobe kernel integrals at every node, via FFT.
 
     Writing E = e^{P}, Ep(x) = int_0^x e^{P} w dy and Em(x) = int_0^x e^{-P} w dy,
@@ -111,24 +111,25 @@ def _exp_partials_fast(grid, p_tilde, alpha, w):
     vm of up' + alpha up = e^{pt} w and vm' - alpha vm = e^{-pt} w are found
     mode by mode; then qp = e^{pt} vm, qm = e^{-pt} up and the anchoring at
     x = 0 sits in the constants cp = -vm(0), cm = -up(0), so no e^{alpha x}
-    is ever formed.  The transforms run in the grid's work buffers.
+    is ever formed.  e^{pt} is written into et; the transforms run in the
+    grid's work buffers, and qp and qm are returned in them.
     """
-    n = grid.n
-    et = np.exp(p_tilde)
-    buf = np.empty((2, n))
+    np.exp(p_tilde, out=et)
+    buf = grid._real_work
     np.multiply(et, w, out=buf[0])
     np.divide(w, et, out=buf[1])
     spec = grid._rfft(buf, grid._spec_work)
-    den = grid._den_work
-    np.add(grid._n_ik, n * alpha, out=den[0])
-    np.subtract(grid._n_ik, n * alpha, out=den[1])
-    spec /= den
-    up, vm = grid._irfft(spec, grid._real_work)
+    # both modal shifts +-n alpha in one broadcast add
+    shift = grid._shift_work
+    shift[0, 0] = grid.n * alpha
+    shift[1, 0] = -shift[0, 0]
+    spec /= np.add(grid._n_ik, shift, out=grid._den_work)
+    up, vm = grid._irfft(spec, buf)
     up0, vm0 = float(up[0]), float(vm[0])
     ep_full = (np.exp(alpha) - 1.0) * up0
     em_full = (np.exp(-alpha) - 1.0) * vm0
-    qp = np.multiply(et, vm, out=buf[0])
-    qm = np.divide(up, et, out=buf[1])
+    qp = np.multiply(et, vm, out=vm)
+    qm = np.divide(up, et, out=up)
     return qp, qm, -vm0, -up0, ep_full, em_full
 
 
@@ -171,7 +172,7 @@ def _warp(grid, rho2):
     return p, alpha, p - alpha * grid.x
 
 
-def _kernel_terms(grid, p, alpha, p_tilde, w, mode):
+def _kernel_terms(grid, p, alpha, p_tilde, w, mode, eb):
     """The pieces (qp, qm, ea, eb) that `kernel_fields` combines.
 
     The near lobe of the kernel (y <= x) and the far lobe (y > x) each split
@@ -180,20 +181,21 @@ def _kernel_terms(grid, p, alpha, p_tilde, w, mode):
         press = ea + eb - (qp - qm) / 2,    pgrad = ea - eb - (qp + qm) / 2,
 
     with ea = a e^{P} and eb = b e^{-P} for two scalars a, b built from the
-    full-period integrals.
+    full-period integrals.  ea overwrites p, and eb is written into eb, an
+    array of n that the fast route first holds e^{pt} in.
     """
     if mode not in ("fast", "direct"):
         raise ValueError(f"unknown kernel mode {mode!r}")
-    gp = np.exp(p)
+    gp = np.exp(p, out=p)
     if mode == "fast":
-        qp, qm, cp, cm, epf, emf = _exp_partials_fast(grid, p_tilde, alpha, w)
+        qp, qm, cp, cm, epf, emf = _exp_partials_fast(grid, p_tilde, alpha, w, eb)
     else:
         ep, em, epf, emf = _exp_partials_direct(grid, p_tilde, alpha, w)
         qp, qm, cp, cm = gp * em, ep / gp, 0.0, 0.0
     scale = 1.0 / (4.0 * HALF_SINH)
     a = (emf * _SQRT_E - 2.0 * HALF_SINH * cp) * scale
     b = (epf / _SQRT_E + 2.0 * HALF_SINH * cm) * scale
-    eb = b / gp
+    np.divide(b, gp, out=eb)
     gp *= a
     return qp, qm, gp, eb
 
@@ -209,7 +211,7 @@ def _press(qp, qm, ea, eb):
 
 def _kernel_pair(grid, rho2, w, mode):
     p, alpha, p_tilde = _warp(grid, rho2)
-    return _kernel_terms(grid, p, alpha, p_tilde, w, mode)
+    return _kernel_terms(grid, p, alpha, p_tilde, w, mode, np.empty(grid.n))
 
 
 def _source_density(state, vel):
@@ -295,34 +297,32 @@ def _rhs_arrays(grid, rho, rho_t, mu, out, mode="fast"):
 
     Writes drho_t = rho (vel^2 - press) / 2 into out and returns (offset,
     vel, press, gap, rho2, rho_t2, w, alpha, flux) as in FieldEval; drho is
-    rho_t itself and dk0 is the offset.
+    rho_t itself and dk0 is the offset.  The returned fields are rows of
+    the grid's work buffers, which the next evaluation on the grid
+    overwrites.
     """
-    src = np.empty((2, grid.n))
-    rho2 = np.multiply(rho, rho, out=src[0])
-    np.multiply(rho, rho_t, out=src[1])
-    src[1] *= 2.0
-    anti, alpha, flux = grid._antideriv_pair(src)
+    rho2, rho_rho_t, p_tilde, vel, p, vel2, rho_t2, w, eb, src, anti = grid._field_rows
+    np.multiply(rho, rho, out=rho2)
+    np.multiply(rho, rho_t, out=rho_rho_t)
+    # the antiderivatives of rho^2 and of 2 rho rho_t
+    alpha, flux = grid._antideriv_pair(src, anti)
     # the kernel sees P only through differences P(x) - P(y), so P and its
-    # periodic part may carry any common constant: anti[0] is used unanchored
-    p_tilde = anti[0]
+    # periodic part may carry any common constant: p_tilde is used unanchored
     # vel = run + offset, where run = int_0^x 2 rho rho_t is vel_u - vel_u(0)
     # for vel_u = anti[1] + flux x, and the offset pins quad(vel rho^2) = mu;
     # the anchor vel_u(0) folds into that one shift
-    vel = flux * grid.x
-    vel += anti[1]
-    anchor = float(anti[1, 0])
+    anchor = float(vel[0])
+    vel += np.multiply(grid.x, flux, out=vel2)
     offset = mu - float(np.dot(vel, rho2)) * grid._inv_n + anchor * alpha
     vel += offset - anchor
-    vel2 = vel * vel
-    rho_t2 = rho_t * rho_t
-    w = rho2 * vel2
+    np.multiply(vel, vel, out=vel2)
+    np.multiply(rho_t, rho_t, out=rho_t2)
+    np.multiply(rho2, vel2, out=w)
     w += rho_t2
     w += rho_t2
-    p = alpha * grid.x
+    np.multiply(grid.x, alpha, out=p)
     p += p_tilde
-    # p_tilde is a view of the grid's work buffer, which the kernel's own
-    # transforms overwrite once they have read it
-    press = _press(*_kernel_terms(grid, p, alpha, p_tilde, w, mode))
+    press = _press(*_kernel_terms(grid, p, alpha, p_tilde, w, mode, eb))
     gap = np.subtract(vel2, press, out=vel2)
     np.multiply(rho, gap, out=out)
     out *= 0.5
@@ -330,12 +330,14 @@ def _rhs_arrays(grid, rho, rho_t, mu, out, mode="fast"):
 
 
 def evaluate(grid: PeriodicGrid, state: LagrangianState, mu: float, mode: str = "fast") -> FieldEval:
-    """Velocity, kernel fields and state derivative in one pass."""
+    """Velocity, kernel fields and state derivative in one pass.  The
+    fields are copies that no later evaluation touches."""
     slope = np.empty((2, grid.n))
     slope[0] = state.rho_t
     offset, vel, press, gap, rho2, rho_t2, w, alpha, flux = _rhs_arrays(
         grid, state.rho, state.rho_t, mu, slope[1], mode)
-    return FieldEval(vel, press, offset, slope, gap, rho2, rho_t2, w, alpha, flux)
+    return FieldEval(vel.copy(), press.copy(), offset, slope, gap.copy(), rho2.copy(), rho_t2.copy(), w.copy(),
+                     alpha, flux)
 
 
 def energy(grid: PeriodicGrid, state: LagrangianState, mu: float) -> float:

@@ -14,6 +14,7 @@ import tempfile
 import time
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,10 +23,11 @@ from hypothesis import strategies as st
 
 import rhosphere.cli as cli
 from rhosphere.cli import _fmt, _simulate_to, main
-from rhosphere.config import DEFAULTS, MAX_GRID_SIZE, SCHEMA, ConfigError, RunConfig, parse_config
+from rhosphere.config import DEFAULTS, MAX_GRID_SIZE, MAX_VALIDATE_N, SCHEMA, ConfigError, RunConfig, parse_config
 from rhosphere.integrate import StepFailure, evolve
 from rhosphere.lagrangian import lagrangian_velocity
 from rhosphere.reconstruct import flow_map, slope_field
+from rhosphere.validate import full_validation
 
 
 def write_cfg(tmp_path, text, name="run.cfg"):
@@ -121,15 +123,21 @@ def test_grid_sizes_bounded_from_above(tmp_path, capsys, monkeypatch):
         RunConfig({"validate.n": huge}).validation_args()
     with pytest.raises(ConfigError, match="compare.m must be from 1 to 1048576, got 1099511627776"):
         RunConfig({"compare.m": huge}).compare_args()
-    top = {"grid.n": MAX_GRID_SIZE, "validate.n": MAX_GRID_SIZE, "compare.m": MAX_GRID_SIZE}
+    top = {"grid.n": MAX_GRID_SIZE, "validate.n": MAX_VALIDATE_N, "compare.m": MAX_GRID_SIZE}
     assert RunConfig(top).initial_spec().n == MAX_GRID_SIZE
-    assert RunConfig(top).validation_args()["n"] == MAX_GRID_SIZE
+    assert RunConfig(top).validation_args()["n"] == MAX_VALIDATE_N
     assert RunConfig(top).compare_args()["m"] == MAX_GRID_SIZE
+    # the identity suite's direct route takes about 12 n^2 bytes, so
+    # validate.n stops short of MAX_GRID_SIZE
+    for n in (2 * MAX_VALIDATE_N, MAX_GRID_SIZE):
+        with pytest.raises(ConfigError, match=f"validate.n must be at most {MAX_VALIDATE_N}.*got {n}"):
+            RunConfig({"validate.n": n}).validation_args()
     # on the command line, with the calls that would allocate replaced
     monkeypatch.setattr(cli, "evolve", None)
     monkeypatch.setattr(cli, "full_validation", None)
     cfg = write_cfg(tmp_path, f"grid.n = 64\nrun.t_end = 0.05\ncompare.m = {huge}\n")
-    argvs = [["validate", "--n", str(huge)], ["compare", "--config", str(cfg)],
+    argvs = [["validate", "--n", str(huge)], ["validate", "--n", str(2 * MAX_VALIDATE_N)],
+             ["validate", "--n", str(MAX_GRID_SIZE)], ["compare", "--config", str(cfg)],
              ["simulate", "--n", str(huge), "--out", str(tmp_path / "r")]]
     for argv in argvs:
         if argv[0] == "simulate":
@@ -607,7 +615,8 @@ def test_huge_periodic_profile_gives_no_tangency_warning(tmp_path, capsys):
 # with small, huge, negative and non-finite numbers, words and lists, and
 # sweep lines over them.  The keys that set the cost of a run, a reference
 # run or a comparison only take values that either fail or keep it at
-# n = 16 and t_end <= 0.01, with at most a few fixed steps.  Numbers are
+# n = 16 and t_end <= 0.01, with at most a few fixed steps; the validation
+# battery runs at most 2 states at n <= 32, or fails.  Numbers are
 # small (|x| <= 10) or huge (|x| >= 1e150): an amplitude in between is
 # valid but can ask for millions of error-controlled steps and snapshots.
 _NUMBERS = st.one_of(
@@ -631,6 +640,9 @@ _COSTLY = {
     "run.dt": ["0.01", "2e-3", "1e300", "0", "-1e-3", "nan", "inf", "1e-300", "5e-324"],
     "oracle.dt": ["0.01", "2e-3", "1e300", "0", "-1e-3", "nan", "inf", "1e-300", "5e-324"],
     "compare.m": ["16", "32", "17", "1", "0", "-16", "1e3", "many"],
+    # past MAX_VALIDATE_N = 4096, validate.n is a config error
+    "validate.n": ["16", "32", "17", "0", "-16", "8192", "1048576", "1e3", "many"],
+    "validate.n_states": ["1", "2", "0", "-1", "1e3", "few"],
 }
 _FREE_KEYS = sorted(set(SCHEMA) - set(_COSTLY)) + ["no_such.key", "grid"]
 # and lines a run mostly accepts, so that some files get as far as a run
@@ -651,23 +663,40 @@ _LINES = st.one_of(
     st.sampled_from(["just some words", "= 3", "initial.value"]),
     st.one_of(_PLAUSIBLE, _COSTLY_PAIRS).map(lambda kv: f"sweep.{kv[0]} = {kv[1]}"),
 )
-_COMMANDS = {"simulate": [], "compare": [], "sweep": ["--workers", "1"]}
+# each command's extra arguments; validate's --n sets validate.n as well
+_COMMANDS = {
+    "simulate": st.just([]),
+    "compare": st.just([]),
+    "sweep": st.just(["--workers", "1"]),
+    "validate": st.sampled_from([[], ["--n", "32"], ["--n", "8192"], ["--n", "1048576"]]),
+}
+_BASE = {"validate": ["validate.n = 16", "validate.n_states = 1"]}
+
+
+def _guarded_validation(n, **kwargs):
+    # a validate.n past the cap is a config error before the battery
+    # allocates anything
+    assert n <= MAX_VALIDATE_N, n
+    return full_validation(n=n, **kwargs)
 
 
 @settings(max_examples=90, deadline=None)
-@given(st.lists(_LINES, max_size=6), st.sampled_from(sorted(_COMMANDS)))
-def test_malformed_config_files_exit_cleanly(lines, command):
+@given(st.lists(_LINES, max_size=6),
+       st.sampled_from(sorted(_COMMANDS)).flatmap(lambda c: _COMMANDS[c].map(lambda args: (c, args))))
+def test_malformed_config_files_exit_cleanly(lines, command_args):
     # simulate, compare and sweep exit 0, 1 (config error) or 2 (a run that
-    # stopped early), never with a traceback
+    # stopped early), and validate 0, 1 or 3 (a failed check), never with a
+    # traceback
+    command, args = command_args
     with tempfile.TemporaryDirectory() as tmp:
         cfg = Path(tmp) / "run.cfg"
-        cfg.write_text("\n".join(["grid.n = 16", "run.t_end = 0.01", *lines]) + "\n",
+        cfg.write_text("\n".join(["grid.n = 16", "run.t_end = 0.01", *_BASE.get(command, []), *lines]) + "\n",
                        encoding="utf-8")
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
-                np.errstate(all="ignore"):
-            code = main([command, "--config", str(cfg), "--out", str(Path(tmp) / "out"), *_COMMANDS[command]])
-    assert code in (0, 1, 2)
+                np.errstate(all="ignore"), mock.patch.object(cli, "full_validation", _guarded_validation):
+            code = main([command, "--config", str(cfg), "--out", str(Path(tmp) / "out"), *args])
+    assert code in ((0, 1, 3) if command == "validate" else (0, 1, 2))
     said = err.getvalue()
     assert (code == 1) == ("\nconfig error: " in "\n" + said), said
 

@@ -207,8 +207,8 @@ def test_step_failure_keeps_its_crossings(monkeypatch):
 
     real = integrate._advance
 
-    def late_nan(grid, state, mu, dt, stage1, t):
-        new = real(grid, state, mu, dt, stage1, t)
+    def late_nan(grid, state, mu, dt, stage1, t, ws):
+        new = real(grid, state, mu, dt, stage1, t, ws)
         return LagrangianState(np.full(grid.n, np.nan), new.rho_t, new.k0, t) if t > 0.3 else new
 
     monkeypatch.setattr(integrate, "_advance", late_nan)
@@ -229,6 +229,24 @@ def test_step_failure_carries_partial_record():
     rec = exc.value.record
     assert rec.series.t.size >= 1
     assert np.isfinite(rec.series.energy[0])
+
+
+@pytest.mark.parametrize("dt,projection", [(2e-3, True), (2e-3, False), (None, True)],
+                         ids=["fixed", "fixed_unprojected", "adaptive"])
+def test_kept_snapshots_own_their_arrays(dt, projection):
+    # a run steps in arrays allocated once; each snapshot it keeps holds on
+    # to its own 2n floats only, shared with no other snapshot
+    grid, state, mu = initial_state(InitialSpec("sine", 64))
+    rec = evolve(grid, state, mu, IntegratorConfig(dt=dt, t_end=0.05, snapshot_stride=3, projection=projection))
+    assert len(rec.snapshots) >= 5
+    arrays = []
+    for snap in rec.snapshots:
+        owners = {id(o): o for o in (a if a.base is None else a.base for a in (snap.rho, snap.rho_t))}
+        assert sum(o.size for o in owners.values()) <= 2 * grid.n
+        arrays.append((snap.rho, snap.rho_t))
+    for i, mine in enumerate(arrays):
+        for theirs in arrays[i + 1:]:
+            assert not any(np.shares_memory(a, b) for a in mine for b in theirs)
 
 
 def test_project_restores_constraints():

@@ -244,6 +244,18 @@ def test_evaluate_off_sphere_matches_public_routes():
     assert abs(ev.alpha - 1.0) > 0.1 and abs(ev.flux) > 0.1
 
 
+def test_evaluation_keeps_none_of_the_work_buffers():
+    # the field evaluation runs in the grid's work buffers, which the next
+    # evaluation overwrites; a FieldEval keeps fields no later one touches
+    grid = PeriodicGrid(64)
+    ev = evaluate(grid, on_sphere(grid, 12), 0.1)
+    kept = {name: getattr(ev, name).copy() for name in ("vel", "press", "slope", "gap", "rho2", "rho_t2", "w")}
+    other = evaluate(grid, on_sphere(grid, 13), -0.2)
+    for name, before in kept.items():
+        assert np.array_equal(getattr(ev, name), before), name
+        assert not np.shares_memory(getattr(ev, name), getattr(other, name)), name
+
+
 def test_acceleration_orthogonal_to_sphere():
     # d/dt quad(rho^2) = 2 quad(rho rho_t) = 0 and the second derivative
     # vanishes as well when the constraints hold, so the flow stays on
