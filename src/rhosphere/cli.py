@@ -35,6 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from ._parallel import _cpu_count, _cpus
 from .config import DEFAULTS, ConfigError, RunConfig, parse_config
 from .grid import PeriodicGrid
 from .integrate import SimulationRecord, StepFailure, StepLimitError, default_dt, evolve, step_count
@@ -93,17 +94,6 @@ def _write_snapshot(snapdir: Path, grid: PeriodicGrid, mu: float, x: list[str], 
     columns = (state.rho, state.rho_t, fmap.knots[:grid.n], vel, slopes)
     rows = map(",".join, zip(x, *map(_floats, columns), map("01".__getitem__, valid.tolist())))
     _write_lines(snapdir / f"snap_{step:06d}.csv", chain(["x,rho,rho_t,K,u,ux,valid_ux"], rows))
-
-
-def _cpu_count() -> int:
-    """The CPUs this process may run on."""
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-
-
-def _cpus() -> int:
-    """Processes a run's snapshot files may be written from: the CPUs this
-    process may run on, or 1 where processes cannot be forked."""
-    return _cpu_count() if "fork" in multiprocessing.get_all_start_methods() else 1
 
 
 # snapshot files a writer child may have in flight: the one it writes and

@@ -30,6 +30,11 @@ MAX_GRID_SIZE = 2**20
 # matrices, about 12 n^2 bytes: 0.2 GB at 4096 nodes, 13 GB at 2^15 and
 # 13 TB at MAX_GRID_SIZE
 MAX_VALIDATE_N = 4096
+# largest validate.n_states: the identity suite makes a fast and a direct
+# kernel evaluation per state, 1-2 ms at the default validate.n = 128, so
+# the cap allows about 20 s, where a typo with a few more zeros would run
+# for hours
+MAX_VALIDATE_STATES = 10_000
 
 _BOOLS = {"true": True, "false": False, "yes": True, "no": False, "on": True, "off": False}
 
@@ -227,11 +232,14 @@ class RunConfig:
 
     def validation_args(self) -> dict[str, int]:
         """Keyword arguments of full_validation; a battery that would check
-        no state, could not build its grid or generator, or would build
-        direct-route matrices past MAX_VALIDATE_N, is a ConfigError."""
+        no state or more than MAX_VALIDATE_STATES, could not build its grid
+        or generator, or would build direct-route matrices past
+        MAX_VALIDATE_N, is a ConfigError."""
         n_states = int(self.get("validate.n_states"))
         if n_states < 1:
             raise ConfigError(f"validate.n_states must be >= 1, got {n_states}")
+        if n_states > MAX_VALIDATE_STATES:
+            raise ConfigError(f"validate.n_states must be at most {MAX_VALIDATE_STATES}, got {n_states}")
         seed = int(self.get("validate.seed"))
         if seed < 0:
             raise ConfigError(f"validate.seed must be >= 0, got {seed}")

@@ -17,9 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.fft import _pocketfft_umath as _pocketfft
 
 from .grid import PeriodicGrid
-from .integrate import step_count
+from .integrate import _at_argmax, _at_argmin, step_count
 
 
 @dataclass
@@ -43,6 +44,8 @@ class _SpectralRHS:
     With dealiasing the 2/3 rule keeps the modes k <= n/3 of u, u_x and of
     both quadratic products; without it the mask is all ones.  The
     derivative symbol has its Nyquist entry zeroed, as in `PeriodicGrid.deriv`.
+    The transforms are the pocketfft gufuncs `np.fft` calls, with its
+    factors, written into the work buffers.
     """
 
     def __init__(self, n: int, dealias: bool):
@@ -50,7 +53,7 @@ class _SpectralRHS:
         mask = (k <= n // 3).astype(float) if dealias else np.ones(k.size)
         ik = 2j * np.pi * k
         ik[-1] = 0.0
-        self.n = n
+        self.inv_n = 1.0 / n
         self.ik = ik
         self.mask = mask
         self.mask_ik = mask * ik
@@ -61,20 +64,30 @@ class _SpectralRHS:
         self._phys = np.empty((2, n))
         self._prod = np.empty((2, n))
 
-    def __call__(self, u_hat: np.ndarray) -> np.ndarray:
+    def __call__(self, u_hat: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The tendency, into out when given: -mask F(u u_x) - mask ik helm F(q)."""
         spec = self._spec
         np.multiply(self.mask, u_hat, out=spec[0])
         np.multiply(self.mask_ik, u_hat, out=spec[1])
-        u, ux = np.fft.irfft(spec, self.n, axis=1, out=self._phys)
+        u, ux = _pocketfft.irfft(spec, self.inv_n, out=self._phys)
         prod = self._prod
         np.multiply(u, ux, out=prod[0])
         np.multiply(u, u, out=prod[1])
-        prod[1] += 0.5 * ux * ux
-        adv_hat, q_hat = np.fft.rfft(prod, axis=1, out=spec)
-        return self.neg_mask * adv_hat + self.neg_mask_ik_helm * q_hat
+        # q = u^2 + (0.5 u_x) u_x, its last term formed in u's row
+        np.multiply(0.5, ux, out=u)
+        np.multiply(u, ux, out=u)
+        np.add(prod[1], u, out=prod[1])
+        adv_hat, q_hat = _pocketfft.rfft_n_even(prod, 1.0, out=spec)
+        if out is None:
+            out = np.empty_like(adv_hat)
+        np.multiply(self.neg_mask, adv_hat, out=out)
+        np.multiply(self.neg_mask_ik_helm, q_hat, out=adv_hat)
+        return np.add(out, adv_hat, out=out)
 
     def slope(self, u_hat: np.ndarray) -> float:
-        return float(np.max(np.abs(np.fft.irfft(self.ik * u_hat, self.n))))
+        """max|u_x|, NaN when u_x has one."""
+        ux = _pocketfft.irfft(np.multiply(self.ik, u_hat, out=self._spec[0]), self.inv_n, out=self._phys[0])
+        return float(_at_argmax(np.abs(ux, out=ux)))
 
 
 def eulerian_rhs(grid: PeriodicGrid, u: np.ndarray, dealias: bool = True) -> np.ndarray:
@@ -115,6 +128,11 @@ def eulerian_evolve(
 
     rhs = _SpectralRHS(grid.n, dealias)
     u_hat = np.fft.rfft(u)
+    # the stage slopes, stage state, scaled slope, RK sum and finiteness
+    # mask of every step, in the order of operations of the plain RK4 sum
+    k1, k2, k3, k4 = np.empty((4, u_hat.size), dtype=complex)
+    stage, tmp, acc = np.empty((3, u_hat.size), dtype=complex)
+    finite = np.empty(u_hat.size, dtype=bool)
     times = [0.0]
     states = [u]
     slopes = [rhs.slope(u_hat)]
@@ -125,12 +143,16 @@ def eulerian_evolve(
         # the last stored time is t_end itself, also when steps * dt only
         # rounds to it
         t = t_end if i == steps else i * dt
-        k1 = rhs(u_hat)
-        k2 = rhs(u_hat + (0.5 * h) * k1)
-        k3 = rhs(u_hat + (0.5 * h) * k2)
-        k4 = rhs(u_hat + h * k3)
-        u_hat += (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.isfinite(u_hat).all():
+        rhs(u_hat, out=k1)
+        rhs(np.add(u_hat, np.multiply(0.5 * h, k1, out=tmp), out=stage), out=k2)
+        rhs(np.add(u_hat, np.multiply(0.5 * h, k2, out=tmp), out=stage), out=k3)
+        rhs(np.add(u_hat, np.multiply(h, k3, out=tmp), out=stage), out=k4)
+        # u_hat += (h / 6) * (k1 + 2 k2 + 2 k3 + k4)
+        np.add(k1, np.multiply(2.0, k2, out=tmp), out=acc)
+        np.add(acc, np.multiply(2.0, k3, out=tmp), out=acc)
+        np.add(acc, k4, out=acc)
+        np.add(u_hat, np.multiply(h / 6.0, acc, out=acc), out=u_hat)
+        if not _at_argmin(np.isfinite(u_hat, out=finite)):
             blowup, blowup_time = True, t
             break
         smax = rhs.slope(u_hat)

@@ -10,6 +10,13 @@ lower-bound diagnostic and the flow-map round trip.
 
 Both layers return CheckResult rows; the command-line ``validate`` prints
 them and fails the process when any row fails.
+
+``full_validation`` runs the identity suite and the envelope check in a
+forked child while this process makes the evolution suite's forward run,
+and the offset slope series in a second child while this process makes
+the time-reversal run (`_parallel.Children`).  With one CPU, no fork or
+other threads running, everything runs here instead.  The rows come back
+in the same order either way, so the output does not depend on it.
 """
 
 from __future__ import annotations
@@ -19,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._parallel import Children, inline
 from .grid import PeriodicGrid
 from .integrate import IntegratorConfig, evolve, gronwall_check, project
 from .lagrangian import (
@@ -168,11 +176,29 @@ def run_envelope_check(n: int = 128, seed: int = 7, n_states: int = 50) -> Check
     return _result("field_gap_envelope", worst, 1.0, "small-amplitude regime")
 
 
-def run_evolution_checks(n: int = 64, dt: float = 1e-3, t_end: float = 0.5) -> list[CheckResult]:
+def _offset_slope_check(grid: PeriodicGrid, rec, mu: float, dt: float) -> CheckResult:
+    """d/dt of vel at label 0, by central differences over the stored
+    snapshots, against -grad at label 0."""
+    times = np.array([snap.t for snap in rec.snapshots])
+    c_series = np.zeros(times.size)
+    h_series = np.zeros(times.size)
+    for i, snap in enumerate(rec.snapshots):
+        vel = lagrangian_velocity(grid, snap, mu)
+        c_series[i] = vel[0]
+        h_series[i] = kernel_fields(grid, snap, vel)[1][0]
+    dc = (c_series[2:] - c_series[:-2]) / (times[2:] - times[:-2])
+    slope_err = float(np.max(np.abs(dc + h_series[1:-1])))
+    return _result("offset_slope_check", slope_err, 100.0 * dt * dt, "central difference")
+
+
+def run_evolution_checks(n: int = 64, dt: float = 1e-3, t_end: float = 0.5, start=inline) -> list[CheckResult]:
     """Short smooth run: conservation, constraints, reversal, round trips.
 
     The profile deliberately has no odd symmetry, otherwise the offset
-    slope check would compare zero against zero.
+    slope check would compare zero against zero.  The offset slope series
+    goes through start(name, fn, *args), which returns a function giving
+    fn(*args); `full_validation` passes one that forks, so that the series
+    runs beside the time-reversal run.
     """
     grid = PeriodicGrid(n)
     u0, u0x, mu = make_initial(InitialSpec(
@@ -192,6 +218,8 @@ def run_evolution_checks(n: int = 64, dt: float = 1e-3, t_end: float = 0.5) -> l
     ok, margin = gronwall_check(rec)
     out.append(CheckResult("pointwise_lower_bound", margin, math.inf, ok, "margin >= 1 required"))
 
+    offset_slope = start("offset slope series", _offset_slope_check, grid, rec, mu, dt)
+
     # reversal: negate rho_t and the mean, march the same horizon back
     final = rec.snapshots[-1]
     back0 = LagrangianState(final.rho, -final.rho_t, final.k0, 0.0)
@@ -203,18 +231,7 @@ def run_evolution_checks(n: int = 64, dt: float = 1e-3, t_end: float = 0.5) -> l
         abs(back.k0 - state0.k0),
     )
     out.append(_result("time_reversal", rev, 1e-9, f"dt={dt:g}, t={t_end:g}"))
-
-    # velocity offset slope: d/dt of vel at label 0 matches -grad at label 0
-    times = np.array([snap.t for snap in rec.snapshots])
-    c_series = np.zeros(times.size)
-    h_series = np.zeros(times.size)
-    for i, snap in enumerate(rec.snapshots):
-        vel = lagrangian_velocity(grid, snap, mu)
-        c_series[i] = vel[0]
-        h_series[i] = kernel_fields(grid, snap, vel)[1][0]
-    dc = (c_series[2:] - c_series[:-2]) / (times[2:] - times[:-2])
-    slope_err = float(np.max(np.abs(dc + h_series[1:-1])))
-    out.append(_result("offset_slope_check", slope_err, 100.0 * dt * dt, "central difference"))
+    out.append(offset_slope())
 
     fmap = flow_map(grid, final)
     xs = np.linspace(-0.3, 1.7, 401)
@@ -226,9 +243,17 @@ def run_evolution_checks(n: int = 64, dt: float = 1e-3, t_end: float = 0.5) -> l
     return out
 
 
+def _identity_checks(n: int, seed: int, n_states: int, flip_h_sign: bool) -> list[CheckResult]:
+    return [*run_identity_suite(n=n, seed=seed, n_states=n_states, flip_h_sign=flip_h_sign),
+            run_envelope_check()]
+
+
 def full_validation(n: int = 128, seed: int = 2026, n_states: int = 100,
                     flip_h_sign: bool = False) -> list[CheckResult]:
-    checks = run_identity_suite(n=n, seed=seed, n_states=n_states, flip_h_sign=flip_h_sign)
-    checks.append(run_envelope_check())
-    checks.extend(run_evolution_checks())
-    return checks
+    """The identity suite, the envelope check and the evolution checks, in
+    that order, the first two and the offset slope series in forked
+    children where that can help (see the module docstring)."""
+    with Children() as children:
+        identities = children.start("identity suite", _identity_checks, n, seed, n_states, flip_h_sign)
+        evolution = run_evolution_checks(start=children.start)
+        return identities() + evolution

@@ -23,7 +23,8 @@ from hypothesis import strategies as st
 
 import rhosphere.cli as cli
 from rhosphere.cli import _fmt, _simulate_to, main
-from rhosphere.config import DEFAULTS, MAX_GRID_SIZE, MAX_VALIDATE_N, SCHEMA, ConfigError, RunConfig, parse_config
+from rhosphere.config import (DEFAULTS, MAX_GRID_SIZE, MAX_VALIDATE_N, MAX_VALIDATE_STATES, SCHEMA, ConfigError,
+                              RunConfig, parse_config)
 from rhosphere.integrate import StepFailure, evolve
 from rhosphere.lagrangian import lagrangian_velocity
 from rhosphere.reconstruct import flow_map, slope_field
@@ -642,7 +643,8 @@ _COSTLY = {
     "compare.m": ["16", "32", "17", "1", "0", "-16", "1e3", "many"],
     # past MAX_VALIDATE_N = 4096, validate.n is a config error
     "validate.n": ["16", "32", "17", "0", "-16", "8192", "1048576", "1e3", "many"],
-    "validate.n_states": ["1", "2", "0", "-1", "1e3", "few"],
+    # past MAX_VALIDATE_STATES = 10 000, validate.n_states is a config error
+    "validate.n_states": ["1", "2", "0", "-1", "1e3", "few", "10001", "100000000"],
 }
 _FREE_KEYS = sorted(set(SCHEMA) - set(_COSTLY)) + ["no_such.key", "grid"]
 # and lines a run mostly accepts, so that some files get as far as a run
@@ -673,11 +675,12 @@ _COMMANDS = {
 _BASE = {"validate": ["validate.n = 16", "validate.n_states = 1"]}
 
 
-def _guarded_validation(n, **kwargs):
-    # a validate.n past the cap is a config error before the battery
-    # allocates anything
+def _guarded_validation(n, n_states, **kwargs):
+    # a validate.n or validate.n_states past its cap is a config error
+    # before the battery allocates or runs anything
     assert n <= MAX_VALIDATE_N, n
-    return full_validation(n=n, **kwargs)
+    assert n_states <= MAX_VALIDATE_STATES, n_states
+    return full_validation(n=n, n_states=n_states, **kwargs)
 
 
 @settings(max_examples=90, deadline=None)
@@ -745,11 +748,13 @@ def test_validate_flip_hook_exits_3(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "validation failed" in err
     assert "slope_identity" in err
+    assert not multiprocessing.active_children()
 
 
 @pytest.mark.parametrize("line,fragment", [
     ("validate.n_states = 0", "validate.n_states must be >= 1"),
     ("validate.n_states = -1", "validate.n_states must be >= 1"),
+    ("validate.n_states = 10001", "validate.n_states must be at most 10000, got 10001"),
     ("validate.n = 100", "validate.n must be a power of two"),
     ("validate.seed = -1", "validate.seed must be >= 0"),
 ])

@@ -16,7 +16,8 @@ from rhosphere import (
     resample_profile,
     sample_trajectory,
 )
-from rhosphere.integrate import StepLimitError
+from rhosphere import oracle
+from rhosphere.integrate import StepLimitError, step_count
 
 
 def fd_rhs(u, h):
@@ -56,6 +57,44 @@ def reference_rk4(u0, dt, steps, dealias=True, slope_cap=np.inf):
             return states, i
         states.append(u)
     return states, None
+
+
+def allocating_evolve(u0, dt, t_end, snapshot_stride=100, slope_cap=1e3, dealias=True):
+    """eulerian_evolve as a loop that allocates each stage and product anew
+    through np.fft, in the buffered stepper's order of operations: the
+    reference it must match bit for bit."""
+    n = u0.size
+    rhs = oracle._SpectralRHS(n, dealias)
+
+    def tendency(u_hat):
+        u, ux = np.fft.irfft(np.stack((rhs.mask * u_hat, rhs.mask_ik * u_hat)), n, axis=1)
+        adv_hat, q_hat = np.fft.rfft(np.stack((u * ux, u * u + 0.5 * ux * ux)), axis=1)
+        return rhs.neg_mask * adv_hat + rhs.neg_mask_ik_helm * q_hat
+
+    def slope(u_hat):
+        return float(np.max(np.abs(np.fft.irfft(rhs.ik * u_hat, n))))
+
+    steps, uniform = step_count(dt, t_end)
+    u_hat = np.fft.rfft(u0)
+    times, states, slopes = [0.0], [np.asarray(u0, dtype=float).copy()], [slope(u_hat)]
+    for i in range(1, steps + 1):
+        h = dt if (uniform or i < steps) else t_end - (steps - 1) * dt
+        t = t_end if i == steps else i * dt
+        k1 = tendency(u_hat)
+        k2 = tendency(u_hat + (0.5 * h) * k1)
+        k3 = tendency(u_hat + (0.5 * h) * k2)
+        k4 = tendency(u_hat + h * k3)
+        u_hat += (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if not np.isfinite(u_hat).all():
+            return times, states, slopes, t
+        smax = slope(u_hat)
+        if smax > slope_cap:
+            return times, states, slopes, t
+        if i % snapshot_stride == 0 or i == steps:
+            times.append(t)
+            states.append(np.fft.irfft(u_hat, n))
+            slopes.append(smax)
+    return times, states, slopes, None
 
 
 def low_mode_profile(n, seed=11, modes=3):
@@ -140,6 +179,41 @@ def test_evolve_matches_physical_space_rk4(dealias, tol):
         assert np.max(np.abs(state - ref[round(t / 1e-3)])) <= tol
 
 
+@pytest.mark.parametrize("dealias", [True, False])
+@pytest.mark.parametrize("profile,dt,t_end,stride,cap", [
+    ("low modes", 1e-3, 0.3, 7, 1e3),
+    ("peakon pair", 1e-3, 2.0, 50, 8.0),   # stops at the slope cap
+    ("sine", 0.04, 0.05, 1, 1e3),          # a shorter last step
+    ("steep sine", 1e-2, 1.0, 1, 1e300),   # goes non-finite
+])
+def test_evolve_matches_the_allocating_loop_bit_for_bit(profile, dt, t_end, stride, cap, dealias):
+    u0 = {"low modes": lambda: low_mode_profile(128)[1],
+          "peakon pair": lambda: make_initial(InitialSpec("peakon_pair", 256, p=2.0))[0],
+          "sine": lambda: make_initial(InitialSpec("sine", 64))[0],
+          "steep sine": lambda: 50.0 * make_initial(InitialSpec("sine", 64))[0]}[profile]()
+    with np.errstate(all="ignore"):
+        traj = eulerian_evolve(u0, dt, t_end, snapshot_stride=stride, slope_cap=cap, dealias=dealias)
+        times, states, slopes, stop = allocating_evolve(u0, dt, t_end, stride, cap, dealias)
+    assert np.array_equal(traj.times, times)
+    assert np.array_equal(traj.slope_max, slopes)
+    assert len(traj.states) == len(states)
+    assert all(np.array_equal(a, b) for a, b in zip(traj.states, states))
+    assert traj.blowup == (stop is not None)
+    assert traj.blowup_time == stop
+    if profile in ("peakon pair", "steep sine"):
+        assert traj.blowup
+
+
+def test_rhs_into_a_buffer_is_the_allocated_tendency():
+    g, u = low_mode_profile(128)
+    rhs = oracle._SpectralRHS(g.n, True)
+    u_hat = np.fft.rfft(u)
+    out = np.empty_like(u_hat)
+    assert rhs(u_hat, out=out) is out
+    assert np.array_equal(out, rhs(u_hat))
+    assert np.array_equal(np.fft.irfft(out, g.n), eulerian_rhs(g, u))
+
+
 @pytest.mark.parametrize("dt,t_end,times", [
     (0.04, 0.05, [0.0, 0.04, 0.05]),   # final shorter step
     (0.03, 0.05, [0.0, 0.03, 0.05]),   # no overshoot to 0.06
@@ -176,8 +250,6 @@ def test_evolve_rejects_bad_arguments(key, value):
 def test_evolve_step_limit(monkeypatch):
     # 1e298 steps: rejected before any work; a right-hand side that cannot
     # be built fails fast instead of looping where the limit is missing
-    import rhosphere.oracle as oracle
-
     monkeypatch.setattr(oracle, "_SpectralRHS", None)
     _, u = low_mode_profile(64)
     with pytest.raises(StepLimitError, match="more than 10000000 steps"):

@@ -1,6 +1,13 @@
+import multiprocessing
+import os
+import signal
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+from rhosphere import _parallel, validate
 from rhosphere import (
     PeriodicGrid,
     full_validation,
@@ -99,3 +106,84 @@ def test_full_validation_quick_battery():
 def test_derivative_tol_grows_with_n():
     assert derivative_tol(1024) > derivative_tol(64)
     assert derivative_tol(16) > 0.0
+
+
+forks = pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="no fork")
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    monkeypatch.setattr(_parallel, "_cpus", lambda: 2)
+
+
+@forks
+def test_battery_lines_do_not_depend_on_the_cpus(monkeypatch):
+    lines = {}
+    for cpus in (1, 2):
+        monkeypatch.setattr(_parallel, "_cpus", lambda cpus=cpus: cpus)
+        lines[cpus] = [r.line() for r in full_validation(n=32, seed=5, n_states=6)]
+        assert not multiprocessing.active_children()
+    assert lines[1] == lines[2]
+    assert len(lines[1]) == 17
+
+
+@forks
+def test_children_run_in_other_processes(two_cpus):
+    with _parallel.Children() as children:
+        pid = children.start("pid", os.getpid)
+        assert pid() != os.getpid()
+    assert not multiprocessing.active_children()
+
+
+def test_one_cpu_runs_the_call_here(monkeypatch):
+    monkeypatch.setattr(_parallel, "_cpus", lambda: 1)
+    with _parallel.Children() as children:
+        assert children.start("pid", os.getpid)() == os.getpid()
+        assert not children.started
+
+
+def _raise_value_error(*args, **kwargs):
+    raise ValueError("bad state 3 of 7")
+
+
+def _die():
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+@forks
+def test_a_child_exception_is_raised_here(two_cpus):
+    with pytest.raises(ValueError, match="^bad state 3 of 7$"):
+        with _parallel.Children() as children:
+            children.start("raiser", _raise_value_error)()
+    assert not multiprocessing.active_children()
+
+
+@forks
+def test_a_killed_child_is_a_runtime_error(two_cpus):
+    with pytest.raises(RuntimeError, match=r"^doomed \(pid \d+\) exited with code -9 before it sent its result"):
+        with _parallel.Children() as children:
+            children.start("doomed", _die)()
+    assert not multiprocessing.active_children()
+
+
+@forks
+def test_no_child_outlives_a_failing_battery(two_cpus, monkeypatch):
+    assert not all(r.passed for r in full_validation(n=32, seed=5, n_states=4, flip_h_sign=True))
+    assert not multiprocessing.active_children()
+    # a child's exception, raised here after the evolution checks
+    monkeypatch.setattr(validate, "run_envelope_check", _raise_value_error)
+    with pytest.raises(ValueError, match="bad state"):
+        full_validation(n=32, seed=5, n_states=4)
+    assert not multiprocessing.active_children()
+    # this process raising while the identity child still runs
+    monkeypatch.setattr(validate, "evolve", _raise_value_error)
+    with pytest.raises(ValueError, match="bad state"):
+        full_validation(n=32, seed=5, n_states=4)
+    assert not multiprocessing.active_children()
+
+
+def test_import_leaves_multiprocessing_out():
+    code = "import sys, rhosphere; print('multiprocessing' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
