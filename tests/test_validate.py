@@ -7,12 +7,13 @@ import sys
 import numpy as np
 import pytest
 
-from rhosphere import _parallel, validate
 from rhosphere import (
     PeriodicGrid,
+    _parallel,
     full_validation,
     random_state,
     run_identity_suite,
+    validate,
 )
 from rhosphere.integrate import project
 from rhosphere.lagrangian import LagrangianState
@@ -135,8 +136,10 @@ def test_children_run_in_other_processes(two_cpus):
     assert not multiprocessing.active_children()
 
 
-def test_one_cpu_runs_the_call_here(monkeypatch):
-    monkeypatch.setattr(_parallel, "_cpus", lambda: 1)
+@pytest.mark.parametrize("cpus,threads", [(1, 1), (2, 2)])
+def test_one_cpu_or_a_second_thread_runs_the_call_here(monkeypatch, cpus, threads):
+    monkeypatch.setattr(_parallel, "_cpus", lambda: cpus)
+    monkeypatch.setattr(_parallel.threading, "active_count", lambda: threads)
     with _parallel.Children() as children:
         assert children.start("pid", os.getpid)() == os.getpid()
         assert not children.started
