@@ -2,7 +2,8 @@
 
 `Children.start(name, fn, *args)` forks a child that runs fn(*args) and
 returns a function that gives the child's return value, or raises the
-exception it raised; both come back pickled over a pipe.  Where a fork
+exception it raised, with the child's traceback as its cause; both come
+back pickled over a pipe.  Where a fork
 cannot help (one CPU, no fork, or other threads, which a fork does not
 copy) fn runs at once in this process, so a caller's results do not
 depend on which happened.  Leaving the `with` block joins every child,
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import os
 import threading
+import traceback
 
 
 def _cpu_count() -> int:
@@ -29,19 +31,20 @@ def _cpus() -> int:
     return _cpu_count() if "fork" in multiprocessing.get_all_start_methods() else 1
 
 
-def inline(name: str, fn, *args):
-    """What `Children.start` does where it forks no child."""
-    value = fn(*args)
-    return lambda: value
+class _ChildTraceback(Exception):
+    """The traceback of an exception raised in a child, as its text."""
+
+    def __str__(self) -> str:
+        return f'\n"""\n{self.args[0]}"""'
 
 
 def _child_main(send, fn, args) -> None:
     # whatever fn raises, interrupts included, goes to the parent, which
     # raises it again
     try:
-        reply = (True, fn(*args))
+        reply = (True, fn(*args), None)
     except BaseException as exc:
-        reply = (False, exc)
+        reply = (False, exc, traceback.format_exc())
     send.send(reply)
 
 
@@ -56,7 +59,8 @@ class Children:
 
     def start(self, name: str, fn, *args):
         if _cpus() < 2 or threading.active_count() > 1:
-            return inline(name, fn, *args)
+            value = fn(*args)
+            return lambda: value
         import multiprocessing
 
         ctx = multiprocessing.get_context("fork")
@@ -72,7 +76,7 @@ class Children:
 
         def result():
             try:
-                ok, value = recv.recv()
+                ok, value, child_traceback = recv.recv()
             except EOFError:
                 process.join()
                 raise RuntimeError(f"{name} (pid {process.pid}) exited with code {process.exitcode} "
@@ -80,7 +84,7 @@ class Children:
             finally:
                 recv.close()
             if not ok:
-                raise value
+                raise value from _ChildTraceback(child_traceback)
             return value
 
         return result

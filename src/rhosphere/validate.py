@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._parallel import Children, inline
+from ._parallel import Children
 from .grid import PeriodicGrid
 from .integrate import IntegratorConfig, evolve, gronwall_check, project
 from .lagrangian import (
@@ -191,14 +191,13 @@ def _offset_slope_check(grid: PeriodicGrid, rec, mu: float, dt: float) -> CheckR
     return _result("offset_slope_check", slope_err, 100.0 * dt * dt, "central difference")
 
 
-def run_evolution_checks(n: int = 64, dt: float = 1e-3, t_end: float = 0.5, start=inline) -> list[CheckResult]:
+def run_evolution_checks(n: int = 64, dt: float = 1e-3, t_end: float = 0.5) -> list[CheckResult]:
     """Short smooth run: conservation, constraints, reversal, round trips.
 
     The profile deliberately has no odd symmetry, otherwise the offset
     slope check would compare zero against zero.  The offset slope series
-    goes through start(name, fn, *args), which returns a function giving
-    fn(*args); `full_validation` passes one that forks, so that the series
-    runs beside the time-reversal run.
+    runs in a forked child beside the time-reversal run, where that can
+    help (see the module docstring).
     """
     grid = PeriodicGrid(n)
     u0, u0x, mu = make_initial(InitialSpec(
@@ -218,12 +217,13 @@ def run_evolution_checks(n: int = 64, dt: float = 1e-3, t_end: float = 0.5, star
     ok, margin = gronwall_check(rec)
     out.append(CheckResult("pointwise_lower_bound", margin, math.inf, ok, "margin >= 1 required"))
 
-    offset_slope = start("offset slope series", _offset_slope_check, grid, rec, mu, dt)
-
     # reversal: negate rho_t and the mean, march the same horizon back
     final = rec.snapshots[-1]
     back0 = LagrangianState(final.rho, -final.rho_t, final.k0, 0.0)
-    rec_b = evolve(grid, back0, -mu, IntegratorConfig(dt=dt, t_end=t_end, snapshot_stride=10**9))
+    with Children() as children:
+        slope_check = children.start("offset slope series", _offset_slope_check, grid, rec, mu, dt)
+        rec_b = evolve(grid, back0, -mu, IntegratorConfig(dt=dt, t_end=t_end, snapshot_stride=10**9))
+        slope_result = slope_check()
     back = rec_b.snapshots[-1]
     rev = max(
         float(np.max(np.abs(back.rho - state0.rho))),
@@ -231,7 +231,7 @@ def run_evolution_checks(n: int = 64, dt: float = 1e-3, t_end: float = 0.5, star
         abs(back.k0 - state0.k0),
     )
     out.append(_result("time_reversal", rev, 1e-9, f"dt={dt:g}, t={t_end:g}"))
-    out.append(offset_slope())
+    out.append(slope_result)
 
     fmap = flow_map(grid, final)
     xs = np.linspace(-0.3, 1.7, 401)
@@ -255,5 +255,5 @@ def full_validation(n: int = 128, seed: int = 2026, n_states: int = 100,
     children where that can help (see the module docstring)."""
     with Children() as children:
         identities = children.start("identity suite", _identity_checks, n, seed, n_states, flip_h_sign)
-        evolution = run_evolution_checks(start=children.start)
+        evolution = run_evolution_checks()
         return identities() + evolution

@@ -162,6 +162,15 @@ def test_a_child_exception_is_raised_here(two_cpus):
 
 
 @forks
+def test_a_child_exception_carries_the_child_traceback(two_cpus):
+    with pytest.raises(ValueError) as info:
+        with _parallel.Children() as children:
+            children.start("raiser", _raise_value_error)()
+    cause = str(info.value.__cause__)
+    assert "in _raise_value_error" in cause and "in _child_main" in cause
+
+
+@forks
 def test_a_killed_child_is_a_runtime_error(two_cpus):
     with pytest.raises(RuntimeError, match=r"^doomed \(pid \d+\) exited with code -9 before it sent its result"):
         with _parallel.Children() as children:
