@@ -8,14 +8,14 @@ cannot help (one CPU, no fork, or other threads, which a fork does not
 copy) fn runs at once in this process, so a caller's results do not
 depend on which happened.  Leaving the `with` block joins every child,
 after terminating those whose result was never read.  `multiprocessing`
-is imported only here, inside the functions: `import rhosphere` skips it.
+and `traceback` are imported only here, inside the functions: `import
+rhosphere` skips them.
 """
 
 from __future__ import annotations
 
 import os
 import threading
-import traceback
 
 
 def _cpu_count() -> int:
@@ -44,6 +44,8 @@ def _child_main(send, fn, args) -> None:
     try:
         reply = (True, fn(*args), None)
     except BaseException as exc:
+        import traceback
+
         reply = (False, exc, traceback.format_exc())
     send.send(reply)
 
