@@ -38,12 +38,14 @@ SEED = 1
 
 
 def commit_of(checkout: Path) -> dict | None:
-    """The checkout's HEAD, and whether tracked files differ from it."""
+    """The checkout's HEAD, and whether tracked files other than the
+    BENCH_*.json records (which the seed-1 pass writes into this checkout
+    before a held-out pass) differ from it."""
     head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=checkout, capture_output=True, text=True)
     if head.returncode != 0:
         return None
-    status = subprocess.run(["git", "status", "--porcelain", "--untracked-files=no"], cwd=checkout,
-                            capture_output=True, text=True)
+    status = subprocess.run(["git", "status", "--porcelain", "--untracked-files=no", "--", ".",
+                             ":!BENCH_*.json"], cwd=checkout, capture_output=True, text=True)
     return {"head": head.stdout.strip(), "modified": bool(status.stdout.strip())}
 
 

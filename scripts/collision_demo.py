@@ -48,7 +48,7 @@ def main() -> None:
           f"t = {rec.events[0].time:.4f} (labels {sorted(e.locations[0] for e in first)})")
     print(f"collision-node event at t = {node_events[0].time:.4f}")
 
-    ok, margin = gronwall_check(rec, safety=0.5)
+    ok, margin = gronwall_check(rec)
     print(f"lower envelope on rho^2 + rho_t^2 held every step: {ok} (margin {margin:.2f})")
 
     print("\nreconstructed velocity on 2n physical nodes:")

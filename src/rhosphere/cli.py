@@ -43,7 +43,7 @@ from .lagrangian import H_CONVENTION_NOTE, LagrangianState, energy, lagrangian_v
 from .oracle import compare as compare_at
 from .oracle import eulerian_evolve
 from .reconstruct import flow_map, slope_field
-from .scenarios import lagrangian_initial, make_initial
+from .scenarios import initial_state, make_initial
 from .validate import full_validation
 
 
@@ -313,11 +313,9 @@ def _build_run(cfg: RunConfig):
     huge profile can overflow u0, u0x or the energy every run starts from;
     that is a ConfigError, as is any profile the lift rejects."""
     spec = cfg.initial_spec()
-    grid = PeriodicGrid(spec.n)
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            u0, u0x, mu = make_initial(spec)
-            state = lagrangian_initial(grid, u0, u0x)
+            grid, state, mu = initial_state(spec)
             energy(grid, state, mu)
     except ValueError as exc:
         raise ConfigError(f"initial profile {spec.kind!r} is unusable: {exc}") from None
@@ -470,6 +468,9 @@ def run_sweep(cfg: RunConfig, out: Path, workers: int) -> int:
         icfg = run_cfg.integrator_config()
         _snapshot_count(*_build_run(run_cfg), icfg)
         payloads.append((cfg.values, assignment, str(out / f"run_{idx:04d}")))
+    # a fork pool starts all its workers at the first submit, so never
+    # more than there are points
+    workers = min(workers, len(payloads))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_worker, payloads))
@@ -494,19 +495,11 @@ def run_sweep(cfg: RunConfig, out: Path, workers: int) -> int:
 
 
 def _resolve_workers(arg_value) -> int:
-    if arg_value is not None:
-        value = arg_value
-    else:
-        env = os.environ.get("RHO_SPHERE_WORKERS")
-        if env is None:
-            return _cpu_count()
-        try:
-            value = int(env)
-        except ValueError:
-            raise ConfigError(f"RHO_SPHERE_WORKERS must be an integer, got {env!r}") from None
-    if value < 1:
+    if arg_value is None:
+        return _cpu_count()
+    if arg_value < 1:
         raise ConfigError("worker count must be at least 1")
-    return value
+    return arg_value
 
 
 def _load(args) -> RunConfig:
@@ -547,7 +540,7 @@ def main(argv=None) -> int:
     common(sub.add_parser("compare", help="run both solvers and report their distance"))
     swp = sub.add_parser("sweep", help="Cartesian-product parameter sweep")
     common(swp, out_required=True)
-    swp.add_argument("--workers", type=int, help="process count (default: RHO_SPHERE_WORKERS or all cores)")
+    swp.add_argument("--workers", type=int, help="process count (default: the CPUs this process may use)")
 
     args = parser.parse_args(argv)
     try:

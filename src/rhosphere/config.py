@@ -121,22 +121,16 @@ class RunConfig:
 
     values: dict[str, object] = field(default_factory=dict)
     sweep: dict[str, list] = field(default_factory=dict)
-    source: str = "<defaults>"
 
     def get(self, key: str):
         if key in self.values:
             return self.values[key]
         return DEFAULTS.get(key)
 
-    def set(self, key: str, value) -> None:
-        if key not in SCHEMA:
-            raise ConfigError(f"unknown configuration key {key!r}")
-        self.values[key] = value
-
     def with_values(self, extra: dict[str, object]) -> "RunConfig":
         merged = dict(self.values)
         merged.update(extra)
-        return RunConfig(merged, dict(self.sweep), self.source)
+        return RunConfig(merged, dict(self.sweep))
 
     def _float(self, key: str, minimum: float | None = None) -> float:
         value = float(self.get(key))
@@ -256,7 +250,7 @@ def parse_config(path: str | Path) -> RunConfig:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
-    cfg = RunConfig(source=str(path))
+    cfg = RunConfig()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:

@@ -137,17 +137,11 @@ class PeriodicGrid:
         self._irfft(spec, out)
         return mean_a, mean_2b
 
-    def deriv(self, w, scheme: str = "spectral") -> np.ndarray:
-        """Periodic derivative, spectral or second-order centered."""
-        w = self.check(w)
-        if scheme == "spectral":
-            coeffs = np.fft.rfft(w) * self._ik
-            if self.n % 2 == 0:
-                coeffs[-1] = 0.0
-            return np.fft.irfft(coeffs, self.n)
-        if scheme == "centered":
-            return (np.roll(w, -1) - np.roll(w, 1)) / (2.0 * self.h)
-        raise ValueError(f"unknown derivative scheme {scheme!r}")
+    def deriv(self, w) -> np.ndarray:
+        """Spectral periodic derivative, the Nyquist mode dropped."""
+        coeffs = np.fft.rfft(self.check(w)) * self._ik
+        coeffs[-1] = 0.0
+        return np.fft.irfft(coeffs, self.n)
 
     def helmholtz_inverse(self, w, method: str = "fourier_symbol") -> np.ndarray:
         """Apply (1 - d^2/dx^2)^{-1}.

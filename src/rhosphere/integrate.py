@@ -88,6 +88,9 @@ _DP_E = np.array([71 / 57600, 0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 5
 # no fixed-dt run takes more steps, and no error-controlled step is
 # shorter than t_end / MAX_STEPS; the series take 80 bytes per step
 MAX_STEPS = 10_000_000
+# the share of the certified floor that `gronwall_check` asks each step's
+# min(rho^2 + rho_t^2) to keep
+GRONWALL_SAFETY = 0.5
 
 
 @dataclass
@@ -534,17 +537,17 @@ def evolve(grid: PeriodicGrid, state: LagrangianState, mu: float, cfg: Integrato
     return record
 
 
-def gronwall_check(record: SimulationRecord, safety: float = 0.5) -> tuple[bool, float]:
+def gronwall_check(record: SimulationRecord) -> tuple[bool, float]:
     """Lower-bound diagnostic for min(rho^2 + rho_t^2).
 
     The pointwise quantity decays no faster than exponentially with rate
     max over the run of 1 + field_gap / 2.  Returns (ok, worst margin),
-    margin being the ratio of the observed minimum to safety times the
-    certified floor; ok means every step held with the safety factor.
+    margin being the ratio of the observed minimum to GRONWALL_SAFETY
+    times the certified floor; ok means every step held with that factor.
     """
     s = record.series
     rate = float(np.max(1.0 + 0.5 * s.field_gap))
-    floor = safety * s.min_quad[0] * np.exp(-rate * s.t)
+    floor = GRONWALL_SAFETY * s.min_quad[0] * np.exp(-rate * s.t)
     with np.errstate(divide="ignore", invalid="ignore"):
         margins = np.where(floor > 0, s.min_quad / floor, np.inf)
     return bool(np.all(s.min_quad >= floor)), float(np.min(margins))

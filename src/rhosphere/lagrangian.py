@@ -172,8 +172,9 @@ def _warp(grid, rho2):
     return p, alpha, p - alpha * grid.x
 
 
-def _kernel_terms(grid, p, alpha, p_tilde, w, mode, eb):
-    """The pieces (qp, qm, ea, eb) that `kernel_fields` combines.
+def _kernel_terms(gp, qp, qm, cp, cm, epf, emf, eb):
+    """The pieces (qp, qm, ea, eb) that `kernel_fields` combines, from
+    gp = e^{P} and the partial integrals of either route.
 
     The near lobe of the kernel (y <= x) and the far lobe (y > x) each split
     into e^{+-P(x)} times a partial integral; regrouped,
@@ -181,17 +182,9 @@ def _kernel_terms(grid, p, alpha, p_tilde, w, mode, eb):
         press = ea + eb - (qp - qm) / 2,    pgrad = ea - eb - (qp + qm) / 2,
 
     with ea = a e^{P} and eb = b e^{-P} for two scalars a, b built from the
-    full-period integrals.  ea overwrites p, and eb is written into eb, an
+    full-period integrals.  ea overwrites gp, and eb is written into eb, an
     array of n that the fast route first holds e^{pt} in.
     """
-    if mode not in ("fast", "direct"):
-        raise ValueError(f"unknown kernel mode {mode!r}")
-    gp = np.exp(p, out=p)
-    if mode == "fast":
-        qp, qm, cp, cm, epf, emf = _exp_partials_fast(grid, p_tilde, alpha, w, eb)
-    else:
-        ep, em, epf, emf = _exp_partials_direct(grid, p_tilde, alpha, w)
-        qp, qm, cp, cm = gp * em, ep / gp, 0.0, 0.0
     scale = 1.0 / (4.0 * HALF_SINH)
     a = (emf * _SQRT_E - 2.0 * HALF_SINH * cp) * scale
     b = (epf / _SQRT_E + 2.0 * HALF_SINH * cm) * scale
@@ -210,8 +203,15 @@ def _press(qp, qm, ea, eb):
 
 
 def _kernel_pair(grid, rho2, w, mode):
+    if mode not in ("fast", "direct"):
+        raise ValueError(f"unknown kernel mode {mode!r}")
     p, alpha, p_tilde = _warp(grid, rho2)
-    return _kernel_terms(grid, p, alpha, p_tilde, w, mode, np.empty(grid.n))
+    eb = np.empty(grid.n)
+    gp = np.exp(p, out=p)
+    if mode == "fast":
+        return _kernel_terms(gp, *_exp_partials_fast(grid, p_tilde, alpha, w, eb), eb)
+    ep, em, epf, emf = _exp_partials_direct(grid, p_tilde, alpha, w)
+    return _kernel_terms(gp, gp * em, ep / gp, 0.0, 0.0, epf, emf, eb)
 
 
 def _source_density(state, vel):
@@ -292,7 +292,7 @@ class FieldEval:
         return self.offset
 
 
-def _rhs_arrays(grid, rho, rho_t, mu, out, mode="fast"):
+def _rhs_arrays(grid, rho, rho_t, mu, out):
     """Hot-path field evaluation on raw arrays (no validation, no wrapping).
 
     Writes drho_t = rho (vel^2 - press) / 2 into out and returns (offset,
@@ -322,20 +322,21 @@ def _rhs_arrays(grid, rho, rho_t, mu, out, mode="fast"):
     w += rho_t2
     np.multiply(grid.x, alpha, out=p)
     p += p_tilde
-    press = _press(*_kernel_terms(grid, p, alpha, p_tilde, w, mode, eb))
+    gp = np.exp(p, out=p)
+    press = _press(*_kernel_terms(gp, *_exp_partials_fast(grid, p_tilde, alpha, w, eb), eb))
     gap = np.subtract(vel2, press, out=vel2)
     np.multiply(rho, gap, out=out)
     out *= 0.5
     return offset, vel, press, gap, rho2, rho_t2, w, alpha, flux
 
 
-def evaluate(grid: PeriodicGrid, state: LagrangianState, mu: float, mode: str = "fast") -> FieldEval:
+def evaluate(grid: PeriodicGrid, state: LagrangianState, mu: float) -> FieldEval:
     """Velocity, kernel fields and state derivative in one pass.  The
     fields are copies that no later evaluation touches."""
     slope = np.empty((2, grid.n))
     slope[0] = state.rho_t
     offset, vel, press, gap, rho2, rho_t2, w, alpha, flux = _rhs_arrays(
-        grid, state.rho, state.rho_t, mu, slope[1], mode)
+        grid, state.rho, state.rho_t, mu, slope[1])
     return FieldEval(vel.copy(), press.copy(), offset, slope, gap.copy(), rho2.copy(), rho_t2.copy(), w.copy(),
                      alpha, flux)
 

@@ -116,16 +116,14 @@ def _flat_runs(flags: np.ndarray) -> list[tuple[int, int]]:
     return runs
 
 
-def flow_map(grid: PeriodicGrid, state: LagrangianState, flat_eps: float | None = None) -> FlowMap:
+def flow_map(grid: PeriodicGrid, state: LagrangianState) -> FlowMap:
     rho2 = state.rho * state.rho
-    if flat_eps is None:
-        flat_eps = FLAT_EPS_REL * float(rho2.max())
     if rho2.max() <= 0.0:
         raise ValueError("flow map of an identically flat state is degenerate")
     wrapped = np.concatenate([rho2, rho2[:1]])
     knots = state.k0 + np.concatenate([[0.0], np.cumsum(0.5 * grid.h * (wrapped[:-1] + wrapped[1:]))])
 
-    flags = rho2 < flat_eps
+    flags = rho2 < FLAT_EPS_REL * float(rho2.max())
     runs = _flat_runs(flags)
     intervals = [(a * grid.h, (a + ln - 1) * grid.h) for a, ln in runs]
     cell_mid = np.full(grid.n, np.nan)
@@ -147,20 +145,18 @@ class EulerianField:
     valid_ux: np.ndarray
 
 
-def slope_field(state: LagrangianState, flat_eps: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+def slope_field(state: LagrangianState) -> tuple[np.ndarray, np.ndarray]:
     """Nodal u_x along particles, 2 rho_t / rho, clamped; with validity flags.
 
     A node is invalid where rho^2 sits under the flat threshold or the
     ratio exceeds the clamp; the returned value there is the clamped one.
     """
     rho2 = state.rho * state.rho
-    if flat_eps is None:
-        flat_eps = FLAT_EPS_REL * float(rho2.max())
     with np.errstate(divide="ignore", invalid="ignore"):
         raw = 2.0 * state.rho_t / state.rho
     raw = np.nan_to_num(raw, nan=0.0, posinf=SLOPE_CLAMP, neginf=-SLOPE_CLAMP)
     clamped = np.clip(raw, -SLOPE_CLAMP, SLOPE_CLAMP)
-    valid = (rho2 >= flat_eps) & (np.abs(raw) < SLOPE_CLAMP)
+    valid = (rho2 >= FLAT_EPS_REL * float(rho2.max())) & (np.abs(raw) < SLOPE_CLAMP)
     return clamped, valid
 
 
@@ -176,13 +172,12 @@ def eulerian_velocity(
     state: LagrangianState,
     mu: float,
     m: int | None = None,
-    flat_eps: float | None = None,
 ) -> EulerianField:
     """u and u_x on the uniform m-point physical grid at the state's time."""
     m = m if m is not None else grid.n
-    fmap = flow_map(grid, state, flat_eps)
+    fmap = flow_map(grid, state)
     vel = lagrangian_velocity(grid, state, mu)
-    slopes, node_ok = slope_field(state, flat_eps)
+    slopes, node_ok = slope_field(state)
     y = np.arange(m) / m
     x = fmap.invert(y)
     u, j, jp = _interp_nodes(vel, x, grid.n)

@@ -8,7 +8,7 @@ u0x / 2, and the base offset k0 at zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -77,7 +77,7 @@ def _peakon_profile(grid, p, q1, q2, width):
     if width > 0.0:
         damp = np.exp(-0.5 * (2.0 * np.pi * grid.wavenumbers * width) ** 2)
         u0 = np.fft.irfft(np.fft.rfft(u0) * damp, grid.n)
-    u0x = grid.deriv(u0, scheme="spectral")
+    u0x = grid.deriv(u0)
     return u0, u0x
 
 

@@ -37,7 +37,7 @@ from .lagrangian import (
     pressure,
 )
 from .reconstruct import flow_map
-from .scenarios import InitialSpec, lagrangian_initial, make_initial
+from .scenarios import InitialSpec, initial_state
 
 
 @dataclass
@@ -199,10 +199,8 @@ def run_evolution_checks(n: int = 64, dt: float = 1e-3, t_end: float = 0.5) -> l
     runs in a forked child beside the time-reversal run, where that can
     help (see the module docstring).
     """
-    grid = PeriodicGrid(n)
-    u0, u0x, mu = make_initial(InitialSpec(
+    grid, state0, mu = initial_state(InitialSpec(
         kind="fourier", n=n, mean=0.05, cos_coeffs=(0.2, 0.05), sin_coeffs=(0.15,)))
-    state0 = lagrangian_initial(grid, u0, u0x)
     cfg = IntegratorConfig(dt=dt, t_end=t_end, snapshot_stride=1)
     rec = evolve(grid, state0, mu, cfg)
     s = rec.series

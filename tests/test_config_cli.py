@@ -98,10 +98,11 @@ def test_runconfig_defaults_and_set():
     cfg = RunConfig()
     assert cfg.get("grid.n") == DEFAULTS["grid.n"]
     assert cfg.get("run.dt") is None  # no default: heuristic chooses
-    cfg.set("grid.n", 32)
-    assert cfg.get("grid.n") == 32
-    with pytest.raises(ConfigError):
-        cfg.set("imaginary", 1)
+    # a value is set on a copy, which keeps the rest
+    changed = cfg.with_values({"grid.n": 32})
+    assert changed.get("grid.n") == 32
+    assert changed.get("run.t_end") == DEFAULTS["run.t_end"]
+    assert cfg.get("grid.n") == DEFAULTS["grid.n"]
 
 
 def test_initial_spec_reflects_values():
@@ -926,18 +927,46 @@ def test_sweep_without_sweep_keys_exits_1(tmp_path, capsys):
     assert "sweep requires" in capsys.readouterr().err
 
 
-def test_sweep_worker_env_must_be_positive_integer(tmp_path, capsys, monkeypatch):
+def test_sweep_workers_must_be_positive(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "sweep.grid.n = 32\n")
-    monkeypatch.setenv("RHO_SPHERE_WORKERS", "lots")
-    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "s")]) == 1
-    assert "RHO_SPHERE_WORKERS" in capsys.readouterr().err
-    monkeypatch.setenv("RHO_SPHERE_WORKERS", "0")
-    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "s")]) == 1
+    for workers in ("0", "-1"):
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "s"), "--workers", workers]) == 1
+        assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "s").exists()
+
+
+def test_sweep_pool_has_no_more_workers_than_points(tmp_path, monkeypatch):
+    # a fork pool starts every worker it may have at the first submit, so a
+    # typo in --workers must not reach it: the fake records the count and
+    # runs the points here
+    pools = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, fn, payloads):
+            return map(fn, payloads)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+    base = "grid.n = 32\nrun.dt = 1e-3\nrun.t_end = 0.005\n"
+    two = write_cfg(tmp_path, base + "sweep.initial.amplitude = 0.5 1.0\n", name="two.cfg")
+    assert main(["sweep", "--config", str(two), "--out", str(tmp_path / "two"), "--workers", "100000"]) == 0
+    assert pools == [2]
+    one = write_cfg(tmp_path, base + "sweep.initial.amplitude = 0.5\n", name="one.cfg")
+    assert main(["sweep", "--config", str(one), "--out", str(tmp_path / "one"), "--workers", "100000"]) == 0
+    assert pools == [2]  # one point runs inline
+    assert len((tmp_path / "two" / "summary.csv").read_text().splitlines()) == 3
 
 
 def test_sweep_workers_default_to_the_cpus_this_process_may_use(monkeypatch):
     # a host with 64 CPUs, of which this process may run on 3
-    monkeypatch.delenv("RHO_SPHERE_WORKERS", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 5, 7}, raising=False)
     assert cli._resolve_workers(None) == 3

@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from rhosphere import PeriodicGrid, greens_function
+from rhosphere import PeriodicGrid
+from rhosphere.grid import greens_function
 
 
 def trig_poly(grid, rng, kmax=5, amp=1.0):
@@ -60,24 +61,6 @@ def test_spectral_derivative_exact_on_band():
     f = np.sin(2 * np.pi * k * g.x)
     assert_allclose(g.deriv(f), 2 * np.pi * k * np.cos(2 * np.pi * k * g.x),
                     rtol=0, atol=1e-10)
-
-
-def test_centered_derivative_second_order():
-    errs = []
-    for n in (64, 128, 256):
-        g = PeriodicGrid(n)
-        f = np.exp(np.cos(2 * np.pi * g.x))
-        ref = g.deriv(f)
-        errs.append(np.max(np.abs(g.deriv(f, scheme="centered") - ref)))
-    r1, r2 = errs[0] / errs[1], errs[1] / errs[2]
-    assert 3.6 < r1 < 4.4
-    assert 3.6 < r2 < 4.4
-
-
-def test_deriv_rejects_unknown_scheme():
-    g = PeriodicGrid(32)
-    with pytest.raises(ValueError):
-        g.deriv(np.zeros(32), scheme="upwind")
 
 
 def test_cumint_spectral_machine_accuracy():

@@ -26,15 +26,16 @@ import pytest
 
 import rhosphere.integrate as integrate
 import rhosphere.lagrangian as lagrangian
-from rhosphere import InitialSpec, IntegratorConfig, evolve, initial_state, project
+from rhosphere import InitialSpec, IntegratorConfig, evolve, initial_state
 from rhosphere.cli import _simulate_to
 from rhosphere.config import RunConfig
+from rhosphere.integrate import project
 from rhosphere.reconstruct import state_at
 
 N, T_END = 256, 3.0
 
 
-def great_circle_rhs(grid, rho, rho_t, mu, out, mode="fast"):
+def great_circle_rhs(grid, rho, rho_t, mu, out):
     """The Hunter-Saxton field in `_rhs_arrays`' shape: (offset, vel,
     press, gap, rho2, rho_t2, w, alpha, flux), drho_t = rho gap / 2 in out."""
     rho2 = rho * rho

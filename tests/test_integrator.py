@@ -14,15 +14,13 @@ from rhosphere import (
     StepFailure,
     default_dt,
     energy,
-    evaluate,
     evolve,
     gronwall_check,
     initial_state,
     lagrangian_velocity,
-    pressure,
-    project,
 )
-from rhosphere.integrate import MAX_STEPS, step_count
+from rhosphere.integrate import MAX_STEPS, project, step_count
+from rhosphere.lagrangian import evaluate, pressure
 from rhosphere.validate import random_state
 
 from exact_peakons import ExactPair

@@ -12,17 +12,14 @@ from rhosphere import (
     IntegratorConfig,
     LagrangianState,
     PeriodicGrid,
-    apriori_bound,
     energy,
-    evaluate,
     evolve,
     initial_state,
     kernel_fields,
     lagrangian_velocity,
     make_initial,
-    pressure,
 )
-from rhosphere.lagrangian import _exp_partials_direct, _source_density, _warp
+from rhosphere.lagrangian import _exp_partials_direct, _source_density, _warp, apriori_bound, evaluate, pressure
 from rhosphere.validate import random_state
 
 

@@ -8,15 +8,12 @@ from rhosphere import (
     PeriodicGrid,
     compare,
     eulerian_evolve,
-    eulerian_rhs,
     evolve,
     initial_state,
     make_initial,
-    profile_distance,
-    resample_profile,
-    sample_trajectory,
 )
 from rhosphere import oracle
+from rhosphere.oracle import eulerian_rhs, profile_distance, resample_profile, sample_trajectory
 from rhosphere.integrate import StepLimitError, step_count
 
 

@@ -13,7 +13,6 @@ from rhosphere import (
     energy,
     eulerian_velocity,
     evolve,
-    field_energy,
     flow_map,
     initial_state,
     make_initial,
@@ -22,6 +21,7 @@ from rhosphere import (
     state_at,
     weak_residual,
 )
+from rhosphere.reconstruct import field_energy
 
 
 @pytest.fixture(scope="module")
@@ -236,7 +236,7 @@ def test_weak_residual_rejects_bad_window():
 
 
 def test_weak_residual_rejects_nonperiodic_test_function():
-    from rhosphere import TestFunction as SpaceTimeBump
+    from rhosphere.reconstruct import TestFunction as SpaceTimeBump
 
     grid, state, mu = initial_state(InitialSpec("sine", 64, amplitude=0.2))
     rec = evolve(grid, state, mu, IntegratorConfig(dt=1e-2, t_end=0.5))

@@ -2,13 +2,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from rhosphere import (
-    InitialSpec,
-    PeriodicGrid,
-    initial_state,
-    lagrangian_initial,
-    make_initial,
-)
+from rhosphere import InitialSpec, PeriodicGrid, initial_state, make_initial
+from rhosphere.scenarios import lagrangian_initial
 
 
 def test_constant_profile():

@@ -1,23 +1,22 @@
+import ast
+import importlib
+import inspect
 import multiprocessing
 import os
 import signal
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from rhosphere import (
-    PeriodicGrid,
-    _parallel,
-    full_validation,
-    random_state,
-    run_identity_suite,
-    validate,
-)
+import rhosphere
+from rhosphere import PeriodicGrid, _parallel, full_validation, validate
 from rhosphere.integrate import project
 from rhosphere.lagrangian import LagrangianState
-from rhosphere.validate import derivative_tol, run_envelope_check, run_evolution_checks
+from rhosphere.validate import (derivative_tol, random_state, run_envelope_check, run_evolution_checks,
+                                run_identity_suite)
 
 
 def test_random_state_satisfies_constraints():
@@ -193,3 +192,92 @@ def test_import_leaves_multiprocessing_out():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+EXPORTS = {
+    "PeriodicGrid", "LagrangianState", "InitialSpec", "initial_state", "make_initial", "IntegratorConfig",
+    "evolve", "StepFailure", "default_dt", "energy", "lagrangian_velocity", "kernel_fields", "gronwall_check",
+    "eulerian_velocity", "flow_map", "slope_field", "state_at", "weak_residual", "bump_test",
+    "smoothness_diagnostic", "eulerian_evolve", "compare", "full_validation",
+}
+
+
+def test_package_exports_exactly_its_api():
+    assert len(rhosphere.__all__) == len(EXPORTS) == 23
+    assert set(rhosphere.__all__) == EXPORTS
+    for name in EXPORTS:
+        assert getattr(rhosphere, name) is not None
+    namespace = {}
+    exec("from rhosphere import *", namespace)
+    assert set(namespace) - {"__builtins__"} == EXPORTS
+    # a name that stays in its module only
+    with pytest.raises(AttributeError):
+        rhosphere.pressure
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _perfbench_tree(name):
+    return ast.parse((PERFBENCH / name).read_text(encoding="utf-8"))
+
+
+def _rhosphere_names(tree, seen):
+    """What the file's `from rhosphere... import` lines bind, each name
+    resolved; seen collects them as "module.name"."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module and node.module.split(".")[0] == "rhosphere":
+            module = importlib.import_module(node.module)
+            for alias in node.names:
+                if not hasattr(module, alias.name):
+                    importlib.import_module(f"{node.module}.{alias.name}")
+                bound[alias.asname or alias.name] = getattr(module, alias.name)
+                seen.add(f"{node.module.rpartition('.')[2]}.{alias.name}")
+    return bound
+
+
+def _resolve(node, bound, seen):
+    """The object an attribute chain rooted at a bound rhosphere module
+    names, or None for a chain rooted elsewhere."""
+    if isinstance(node, ast.Name):
+        return bound.get(node.id)
+    if isinstance(node, ast.Attribute):
+        owner = _resolve(node.value, bound, seen)
+        if inspect.ismodule(owner) or inspect.isclass(owner):
+            assert hasattr(owner, node.attr), f"{owner.__name__}.{node.attr} is gone"
+            if inspect.ismodule(owner):
+                seen.add(f"{owner.__name__.rpartition('.')[2]}.{node.attr}")
+            return getattr(owner, node.attr)
+    return None
+
+
+def test_the_benchmark_reaches_every_name_it_uses():
+    # perfbench calls into the package through module attributes; a name
+    # that went missing would fail its runs with AttributeError
+    seen = set()
+    for name in ("spans.py", "sweep.py", "workloads.py", "run.py", "setup_probe.py"):
+        tree = _perfbench_tree(name)
+        bound = _rhosphere_names(tree, seen)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                fn = _resolve(node.func, bound, seen)
+                if callable(fn):
+                    params = inspect.signature(fn).parameters
+                    for kw in node.keywords:
+                        assert kw.arg is None or kw.arg in params, f"{fn.__qualname__} takes no {kw.arg}"
+            else:
+                _resolve(node, bound, seen)
+    # the span wrappers patch these (owner, attribute) pairs
+    spans = _perfbench_tree("spans.py")
+    bound = _rhosphere_names(spans, set())
+    points = next(node.value for node in spans.body if isinstance(node, ast.Assign)
+                  and node.targets[0].id == "_WRAP_POINTS")
+    assert len(points.elts) >= 20
+    for point in points.elts:
+        owner, attr = _resolve(point.elts[0], bound, seen), point.elts[1].value
+        assert hasattr(owner, attr), (ast.unparse(point.elts[0]), attr)
+    assert {"lagrangian.pressure", "lagrangian.evaluate", "oracle.eulerian_rhs", "oracle.compare",
+            "validate.random_state", "reconstruct.FlowMap", "reconstruct.EulerianField", "reconstruct.bump_test",
+            "scenarios.initial_state", "scenarios.make_initial"} <= seen
+    assert callable(PeriodicGrid.cumint_spectral)
