@@ -13,7 +13,10 @@ spell of the host falls on both alike.  The output holds each run's result line 
 operations), the machine (processor count, Python, numpy and BLAS, as
 perfbench records them) and, with a baseline, a summary of each
 end-to-end metric: both medians, the baseline's interquartile range, the
-ratio of the medians and the number of pairs the change won.
+ratio of the medians, the number of pairs the change won and whether the
+gain rule holds.  The gain rule: the change won at least 9 of 10 pairs,
+and its median is better than the baseline's by more than the baseline's
+interquartile range.
 
 With `--held-out SEED` the runs use that seed instead, only at `--trace 0`,
 and go under the key "held_out" of the existing BENCH_<pr>.json, so that a
@@ -61,7 +64,9 @@ def run_one(checkout: Path, workload: str, trace: int, seed: int = SEED) -> tupl
 
 def summary(change: list[dict], baseline: list[dict]) -> dict:
     """Per end-to-end metric: medians, the baseline's interquartile range,
-    the ratio of the medians and the pairs the change won."""
+    the ratio of the medians, the pairs the change won and whether the
+    gain rule holds: at least 9 of 10 pairs won, and the median better by
+    more than the baseline's interquartile range."""
     lower = {m["name"]: m["better"] == "lower" for m in BENCHMARK["end_to_end"]}
     out = {}
     for metric, is_lower in lower.items():
@@ -69,9 +74,12 @@ def summary(change: list[dict], baseline: list[dict]) -> dict:
         base = [r["metrics"][metric]["value"] for r in baseline]
         q1, _, q3 = statistics.quantiles(base, n=4) if len(base) > 1 else (base[0], None, base[0])
         wins = sum((c < b) if is_lower else (c > b) for c, b in zip(ch, base))
-        out[metric] = {"change_median": statistics.median(ch), "baseline_median": statistics.median(base),
-                       "baseline_iqr": q3 - q1, "ratio": statistics.median(ch) / statistics.median(base),
-                       "change_won": f"{wins}/{len(ch)}"}
+        ch_median, base_median = statistics.median(ch), statistics.median(base)
+        gain = base_median - ch_median if is_lower else ch_median - base_median
+        out[metric] = {"change_median": ch_median, "baseline_median": base_median,
+                       "baseline_iqr": q3 - q1, "ratio": ch_median / base_median,
+                       "change_won": f"{wins}/{len(ch)}",
+                       "gain_rule_holds": 10 * wins >= 9 * len(ch) and gain > q3 - q1}
     return out
 
 

@@ -54,8 +54,8 @@ class PeriodicGrid:
         inv = np.zeros(n // 2 + 1, dtype=complex)
         inv[1:] = 1.0 / (n * self._ik[1:])
         self._inv_ik = inv
-        # the pair antiderivative's multipliers: the second row carries a
-        # factor 2 (exact: a power of two), so that the field evaluation
+        # the multipliers of the field evaluation's antiderivative pair: the
+        # second row carries a factor 2 (exact: a power of two), so that it
         # integrates 2 rho rho_t from rho rho_t
         self._pair_inv_ik = np.stack((inv, 2.0 * inv))
         # the kernel's modal solves divide by n (ik +- alpha), the 1/n of an
@@ -63,12 +63,13 @@ class PeriodicGrid:
         self._n_ik = n * self._ik
         # work buffers of the field evaluation, reused call after call: the
         # transforms' spectra and real rows, the kernel's modal denominators
-        # and their shifts, and the rows of every intermediate field.  Each
+        # and their shifts (complex, so that they add to the complex modes
+        # without a cast), and the rows of every intermediate field.  Each
         # evaluation overwrites what the one before left in them, and they
         # make evaluation on one grid object unsafe across threads
         self._spec_work = np.empty((2, n // 2 + 1), dtype=complex)
         self._den_work = np.empty((2, n // 2 + 1), dtype=complex)
-        self._shift_work = np.empty((2, 1))
+        self._shift_work = np.empty((2, 1), dtype=complex)
         self._real_work = np.empty((2, n))
         # the field evaluation's rows, as `lagrangian._rhs_arrays` lays them
         # out, and the row pairs its antiderivative transform reads (rows
@@ -123,19 +124,6 @@ class PeriodicGrid:
         spec *= self._inv_ik
         anti = self._irfft(spec, self._real_work[0])
         return mean * self.x + (anti - anti[0])
-
-    def _antideriv_pair(self, ab: np.ndarray, out: np.ndarray):
-        # writes the periodic parts of the antiderivatives of ab[0] and
-        # 2 ab[1], shape (2, n), into out through one batched transform
-        # pair, and returns the means of ab[0] and 2 ab[1].  The zero mode
-        # carries the means, and _pair_inv_ik drops it, so nothing is
-        # subtracted up front; the rows are not yet anchored at 0.
-        spec = self._rfft(ab, self._spec_work)
-        mean_a = float(spec[0, 0].real) * self._inv_n
-        mean_2b = 2.0 * float(spec[1, 0].real) * self._inv_n
-        spec *= self._pair_inv_ik
-        self._irfft(spec, out)
-        return mean_a, mean_2b
 
     def deriv(self, w) -> np.ndarray:
         """Spectral periodic derivative, the Nyquist mode dropped."""

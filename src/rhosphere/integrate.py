@@ -25,15 +25,18 @@ breaking, so the step is limited by accuracy alone; a step the
 controller shrinks below t_end / MAX_STEPS stops the run with
 StepFailure instead of looping on.
 
-A run steps in one workspace, allocated when it starts: the stacked
-start state of an RK4 step, its stage state and slope, the weighted sum
-of its slopes and scratch rows for the diagnostics.  The right-hand side
-writes its intermediate fields into the grid's own work buffers.  A state
-leaves the workspace once per step, projected (or copied, without
-projection) into a new (2, n) array, so a kept snapshot holds its own 2n
-floats and pins no buffer.  Each arithmetic operation is the one an
-allocating version would make, in the same order, so a trajectory is the
-same bit for bit however its arrays are held.  The projection's inner
+A run steps in one workspace, allocated when it starts, on either
+stepper: for RK4 the stacked start state of a step, its stage state and
+slope and the weighted sum of its slopes; for Dormand-Prince the stacked
+start state of a trial, its stage stack, stage state, stage combination
+and error estimate; and scratch rows for the error norm and the
+diagnostics.  The right-hand side writes its intermediate fields into the
+grid's own work buffers.  A state leaves the workspace once per step,
+projected (or copied, without projection) into a new (2, n) array, so a
+kept snapshot holds its own 2n floats and pins no buffer.  Each
+arithmetic operation is the one an allocating version would make, in the
+same order, so a trajectory is the same bit for bit however its arrays
+are held.  The projection's inner
 products stay pairwise sums: a BLAS dot product rounds differently, and
 the energy-drift order of the acceptance criteria sits at round-off.
 
@@ -227,24 +230,42 @@ def project(grid: PeriodicGrid, state: LagrangianState) -> LagrangianState:
 
 
 class _Workspace:
-    """The arrays a run steps in, allocated once per run.
+    """The arrays a run steps in, allocated once per run for its stepper.
 
-    y is the stacked start state of an RK4 step and acc its weighted sum
+    RK4: y is the stacked start state of a step and acc its weighted sum
     of slopes, which ends as the new state.  A stage state sits in rows
     0-1 of a (3, n) block, and rows 1-2 are then its slope once row 2
     holds drho_t, since the slope of rho is rho_t itself.  tmp holds
-    scaled slopes.  The diagnostics row uses a row of tmp and the mask
-    below, of the labels in the flat set.
+    scaled slopes.
+
+    Dormand-Prince: each row stacks (rho, rho_t, k0) in 2n + 1 entries, or
+    their slopes.  y is the start state of a trial and stages its six
+    slopes, the first of which first_slope views as (2, n).  ys is a stage
+    state, and the candidate once the stages are done; comb is a weighted
+    sum of stages and err the error estimate.  row holds the |.| of a
+    state or of err, or the seventh stage's error term, its slopes viewed
+    as (2, n) in row_slope.
+
+    The diagnostics row uses scratch, a row of n in one of the above, and
+    the mask below, of the labels in the flat set.
     """
 
-    def __init__(self, n):
-        self.y = np.empty((2, n))
-        self.acc = np.empty((2, n))
-        self.tmp = np.empty((2, n))
-        stage = np.empty((3, n))
-        self.stage_state, self.stage_slope = stage[:2], stage[1:]
-        self.stage_rows = tuple(stage)
-        self.scratch = self.tmp[0]
+    def __init__(self, n, adaptive):
+        if adaptive:
+            m = 2 * n + 1
+            self.y, self.ys, self.comb, self.err, self.row = (np.empty(m) for _ in range(5))
+            self.stages = np.empty((6, m))
+            self.first_slope = self.stages[0, :-1].reshape(2, n)
+            self.row_slope = self.row[:-1].reshape(2, n)
+            self.scratch = self.row[:n]
+        else:
+            self.y = np.empty((2, n))
+            self.acc = np.empty((2, n))
+            self.tmp = np.empty((2, n))
+            stage = np.empty((3, n))
+            self.stage_state, self.stage_slope = stage[:2], stage[1:]
+            self.stage_rows = tuple(stage)
+            self.scratch = self.tmp[0]
         self.below = np.empty(n, dtype=bool)
 
 
@@ -316,29 +337,35 @@ def _fixed_steps(grid, state, ev, mu, cfg, dt, steps, uniform, record, ws):
         yield state, ev
 
 
-def _dp_trial(grid, state, mu, h, stage1, t):
+def _dp_trial(grid, state, mu, h, stage1, t, ws):
     """A Dormand-Prince trial of length h to time t from the evaluation
-    stage1 at state.  The slopes (drho, drho_t, dk0) are the rows of one
-    stage stack, so each stage state and weighted sum is one product with
-    it.  Returns the fifth-order candidate and the error estimate short of
-    its seventh-stage term."""
+    stage1 at state, in the workspace ws.  The slopes (drho, drho_t, dk0)
+    are the rows of one stage stack, so each stage state and weighted sum
+    is one product with it.  Returns the fifth-order candidate and the
+    error estimate short of its seventh-stage term, both in ws, which the
+    next trial overwrites."""
     n = grid.n
-    y = np.concatenate((state.rho, state.rho_t, (state.k0,)))
-    stages = np.empty((6, 2 * n + 1))
-    stages[0] = np.append(stage1.slope, stage1.offset)
+    y, stages, ys, comb = ws.y, ws.stages, ws.ys, ws.comb
+    y[:n] = state.rho
+    y[n:-1] = state.rho_t
+    y[-1] = state.k0
+    ws.first_slope[...] = stage1.slope
+    stages[0, -1] = stage1.offset
     for i in range(1, 6):
-        ys = y + (h * _DP_A[i - 1, :i]) @ stages[:i]
+        np.add(y, np.matmul(h * _DP_A[i - 1, :i], stages[:i], out=comb), out=ys)
         stages[i, :n] = ys[n:-1]
         stages[i, -1] = _rhs_arrays(grid, ys[:n], ys[n:-1], mu, stages[i, n:-1])[0]
-    new = y + (h * _DP_A[5]) @ stages
-    return LagrangianState(new[:n], new[n:-1], float(new[-1]), t), (h * _DP_E[:6]) @ stages
+    np.add(y, np.matmul(h * _DP_A[5], stages, out=comb), out=ys)
+    return LagrangianState(ys[:n], ys[n:-1], float(ys[-1]), t), np.matmul(h * _DP_E[:6], stages, out=ws.err)
 
 
-def _adaptive_steps(grid, state, ev, mu, cfg, h, record):
+def _adaptive_steps(grid, state, ev, mu, cfg, h, record, ws):
     """Error-controlled Dormand-Prince steps from t = 0 to t_end, the first
-    trial of length h.  Yields each accepted step's (state, evaluation)."""
+    trial of length h.  Yields each accepted step's (state, evaluation);
+    the states own their arrays."""
     t_end = cfg.t_end
     floor = t_end / MAX_STEPS
+    n, row = grid.n, ws.row
     t, accepted = 0.0, 0
     finite = True
     while t < t_end:
@@ -347,16 +374,23 @@ def _adaptive_steps(grid, state, ev, mu, cfg, h, record):
                               + ("" if finite else " after a non-finite trial"))
         t_new = t_end if t + h >= t_end else t + h
         h_try = t_new - t
-        new, part = _dp_trial(grid, state, mu, h_try, ev, t_new)
+        new, part = _dp_trial(grid, state, mu, h_try, ev, t_new, ws)
         record.rhs_evaluations += 5
         err = math.inf  # a non-finite trial is rejected like one with too large an error
         if _finite(new):
-            new = project(grid, new) if cfg.projection else new
+            # the candidate ended in the workspace; it leaves it here
+            new = project(grid, new) if cfg.projection else new.copy()
             new_ev = evaluate(grid, new, mu)
             record.rhs_evaluations += 1
-            part += (h_try * _DP_E[6]) * np.append(new_ev.slope, new_ev.offset)
-            size = max(1.0, float(np.abs(new.rho).max()), float(np.abs(new.rho_t).max()))
-            err = float(np.abs(part).max()) / (STEP_TOL * size)
+            # max(1, max|rho|, max|rho_t|), both rows read at once
+            np.abs(new.rho, out=row[:n])
+            np.abs(new.rho_t, out=row[n:-1])
+            size = max(1.0, float(_at_argmax(row[:-1])))
+            e7 = h_try * _DP_E[6]
+            np.multiply(new_ev.slope, e7, out=ws.row_slope)
+            row[-1] = e7 * new_ev.offset
+            part += row
+            err = float(_at_argmax(np.abs(part, out=row))) / (STEP_TOL * size)
         finite = math.isfinite(err)
         if err <= 1.0:
             state, ev = new, new_ev
@@ -376,13 +410,22 @@ def _hermite_weights(s, h):
 
 
 def _dense_state(grid, a, ev_a, b, ev_b, t, projection):
-    """State at time t inside the accepted step from a to b."""
+    """State at time t inside the accepted step from a to b.  rho and rho_t
+    are the rows of one (2, n) combination, the slopes (drho, drho_t)
+    being the rows of each evaluation's slope; the states' rows may be
+    separate arrays, as a record's snapshots can be."""
     wa, wb, da, db = _hermite_weights((t - a.t) / (b.t - a.t), b.t - a.t)
-    rho = wa * a.rho + wb * b.rho + da * ev_a.drho + db * ev_b.drho
-    rho_t = wa * a.rho_t + wb * b.rho_t + da * ev_a.drho_t + db * ev_b.drho_t
+    mid, tmp = np.empty((2, grid.n)), np.empty((2, grid.n))
+    np.multiply(a.rho, wa, out=mid[0])
+    np.multiply(a.rho_t, wa, out=mid[1])
+    np.multiply(b.rho, wb, out=tmp[0])
+    np.multiply(b.rho_t, wb, out=tmp[1])
+    mid += tmp
+    mid += np.multiply(ev_a.slope, da, out=tmp)
+    mid += np.multiply(ev_b.slope, db, out=tmp)
     k0 = wa * a.k0 + wb * b.k0 + da * ev_a.offset + db * ev_b.offset
-    mid = LagrangianState(rho, rho_t, k0, t)
-    return project(grid, mid) if projection else mid
+    state = LagrangianState(mid[0], mid[1], k0, t)
+    return project(grid, state) if projection else state
 
 
 def _label_crossings(brackets):
@@ -392,8 +435,9 @@ def _label_crossings(brackets):
     changed sign over the step from t_a to t_b, ends stacking their rho
     at t_a and t_b, then their rho_t at t_a and t_b.  Each is an event at
     the root of its Hermite interpolant, all brackets bisected together to
-    round-off.  ends None marks a band entry, an event at t_b.  Events keep
-    step order, and the labels of one step go by time.
+    round-off on the interpolants' coefficients in s, evaluated in Horner
+    form in arrays allocated once.  ends None marks a band entry, an event
+    at t_b.  Events keep step order, and the labels of one step go by time.
     """
     crossing = [b for b in brackets if b[4] is not None]
     if crossing:
@@ -401,14 +445,28 @@ def _label_crossings(brackets):
         sizes = [len(b[3]) for b in crossing]
         t_a = np.repeat([b[0] for b in crossing], sizes)
         h = np.repeat([b[1] - b[0] for b in crossing], sizes)
+        # ya + s (c1 + s (c2 + s c3)), the interpolant of _hermite_weights
+        # at the fraction s of the step
+        rise = yb - ya
+        c1 = h * ma
+        c2 = 3.0 * rise - 2.0 * c1 - h * mb
+        c3 = h * (ma + mb) - 2.0 * rise
         up = ya > 0.0
         lo, hi = np.zeros(ya.size), np.ones(ya.size)
+        s, value = np.empty(ya.size), np.empty(ya.size)
+        positive, same = np.empty(ya.size, dtype=bool), np.empty(ya.size, dtype=bool)
         for _ in range(53):
-            s = 0.5 * (lo + hi)
-            wa, wb, da, db = _hermite_weights(s, h)
-            same = (wa * ya + wb * yb + da * ma + db * mb > 0.0) == up
-            lo = np.where(same, s, lo)
-            hi = np.where(same, hi, s)
+            np.add(lo, hi, out=s)
+            s *= 0.5
+            np.multiply(c3, s, out=value)
+            value += c2
+            value *= s
+            value += c1
+            value *= s
+            value += ya
+            np.equal(np.greater(value, 0.0, out=positive), up, out=same)
+            np.copyto(lo, s, where=same)
+            np.copyto(hi, s, where=np.logical_not(same, out=same))
         times = t_a + 0.5 * (lo + hi) * h
     events, k = [], 0
     for _, t_b, min_rho, labels, ends in brackets:
@@ -476,7 +534,8 @@ def evolve(grid: PeriodicGrid, state: LagrangianState, mu: float, cfg: Integrato
     when the steps or snapshot points would exceed MAX_STEPS), and
     StepFailure (with the record so far attached) if a step goes
     non-finite or an error-controlled step shrinks below its floor;
-    breaking is handled as a recorded event, never a failure.
+    breaking is handled as a recorded event, never a failure.  numpy's
+    overflow, invalid-value and division warnings are off while it steps.
     """
     heuristic = default_dt(grid, state, mu)
     adaptive = cfg.dt is None
@@ -492,7 +551,7 @@ def evolve(grid: PeriodicGrid, state: LagrangianState, mu: float, cfg: Integrato
             record.snapshots.append(snapshot)
             record.snapshot_steps.append(step)
     rows = _Rows(64 if adaptive else steps + 1)
-    ws = _Workspace(grid.n)
+    ws = _Workspace(grid.n, adaptive)
     row = _diagnostics_row(grid, state, ev, cfg.breaking_eps, ws)
     rows.add(0.0, row)
     on_snapshot(state, 0)
@@ -504,36 +563,39 @@ def evolve(grid: PeriodicGrid, state: LagrangianState, mu: float, cfg: Integrato
     snap_t = _grid_time(snap, steps, dt, cfg.t_end)
 
     if adaptive:
-        stepper = _adaptive_steps(grid, state, ev, mu, cfg, heuristic, record)
+        stepper = _adaptive_steps(grid, state, ev, mu, cfg, heuristic, record, ws)
     else:
         stepper = _fixed_steps(grid, state, ev, mu, cfg, dt, steps, uniform, record, ws)
-    try:
-        for new, new_ev in stepper:
-            row = _diagnostics_row(grid, new, new_ev, cfg.breaking_eps, ws)
-            rows.add(new.t, row)
+    # a non-finite step ends the run in StepFailure, and a non-finite trial
+    # is rejected; numpy's warnings on the way there would name no step
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        try:
+            for new, new_ev in stepper:
+                row = _diagnostics_row(grid, new, new_ev, cfg.breaking_eps, ws)
+                rows.add(new.t, row)
 
-            now_positive = new.rho > 0.0
-            flipped = now_positive != positive
-            now_in_band = abs(row[3]) < cfg.breaking_eps
-            if _at_argmax(flipped):
-                crossed = np.flatnonzero(flipped)
-                ends = np.stack((state.rho[crossed], new.rho[crossed], state.rho_t[crossed], new.rho_t[crossed]))
-                brackets.append((state.t, new.t, row[3], crossed, ends))
-            elif now_in_band and not in_band:
-                brackets.append((state.t, new.t, row[3], [row[8]], None))
-            in_band = now_in_band
-            positive = now_positive
+                now_positive = new.rho > 0.0
+                flipped = now_positive != positive
+                now_in_band = abs(row[3]) < cfg.breaking_eps
+                if _at_argmax(flipped):
+                    crossed = np.flatnonzero(flipped)
+                    ends = np.stack((state.rho[crossed], new.rho[crossed], state.rho_t[crossed], new.rho_t[crossed]))
+                    brackets.append((state.t, new.t, row[3], crossed, ends))
+                elif now_in_band and not in_band:
+                    brackets.append((state.t, new.t, row[3], [row[8]], None))
+                in_band = now_in_band
+                positive = now_positive
 
-            while snap <= steps and snap_t <= new.t:
-                on_snapshot(
-                    new if snap_t == new.t else _dense_state(grid, state, ev, new, new_ev, snap_t, cfg.projection), snap)
-                snap = steps + 1 if snap == steps else min(snap + cfg.snapshot_stride, steps)
-                snap_t = _grid_time(snap, steps, dt, cfg.t_end)
-            state, ev = new, new_ev
-    finally:
-        # a StepFailure carries the record with the rows and events so far
-        record.series = rows.series()
-        record.events = _label_crossings(brackets)
+                while snap <= steps and snap_t <= new.t:
+                    on_snapshot(
+                        new if snap_t == new.t else _dense_state(grid, state, ev, new, new_ev, snap_t, cfg.projection), snap)
+                    snap = steps + 1 if snap == steps else min(snap + cfg.snapshot_stride, steps)
+                    snap_t = _grid_time(snap, steps, dt, cfg.t_end)
+                state, ev = new, new_ev
+        finally:
+            # a StepFailure carries the record with the rows and events so far
+            record.series = rows.series()
+            record.events = _label_crossings(brackets)
     return record
 
 

@@ -121,8 +121,9 @@ def _exp_partials_fast(grid, p_tilde, alpha, w, et):
     spec = grid._rfft(buf, grid._spec_work)
     # both modal shifts +-n alpha in one broadcast add
     shift = grid._shift_work
-    shift[0, 0] = grid.n * alpha
-    shift[1, 0] = -shift[0, 0]
+    n_alpha = grid.n * alpha
+    shift[0, 0] = n_alpha
+    shift[1, 0] = -n_alpha
     spec /= np.add(grid._n_ik, shift, out=grid._den_work)
     up, vm = grid._irfft(spec, buf)
     up0, vm0 = float(up[0]), float(vm[0])
@@ -304,8 +305,15 @@ def _rhs_arrays(grid, rho, rho_t, mu, out):
     rho2, rho_rho_t, p_tilde, vel, p, vel2, rho_t2, w, eb, src, anti = grid._field_rows
     np.multiply(rho, rho, out=rho2)
     np.multiply(rho, rho_t, out=rho_rho_t)
-    # the antiderivatives of rho^2 and of 2 rho rho_t
-    alpha, flux = grid._antideriv_pair(src, anti)
+    # the periodic parts of the antiderivatives of rho^2 and of 2 rho rho_t,
+    # through one batched transform pair.  The zero mode carries the means
+    # alpha and flux, and _pair_inv_ik drops it, so nothing is subtracted
+    # up front; the rows are not yet anchored at 0
+    spec = grid._rfft(src, grid._spec_work)
+    alpha = float(spec[0, 0].real) * grid._inv_n
+    flux = 2.0 * float(spec[1, 0].real) * grid._inv_n
+    spec *= grid._pair_inv_ik
+    grid._irfft(spec, anti)
     # the kernel sees P only through differences P(x) - P(y), so P and its
     # periodic part may carry any common constant: p_tilde is used unanchored
     # vel = run + offset, where run = int_0^x 2 rho rho_t is vel_u - vel_u(0)

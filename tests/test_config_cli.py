@@ -488,6 +488,22 @@ def test_simulate_blowup_exits_2_and_keeps_partial_output(tmp_path, capsys):
     assert (out / "series.csv").exists()
 
 
+def test_simulate_blowup_prints_no_numpy_warnings(tmp_path):
+    # the same run in a fresh interpreter, numpy's warnings at their
+    # defaults: stderr holds the one line that says where the run stopped
+    import rhosphere
+
+    cfg = write_cfg(tmp_path, "grid.n = 64\nrun.dt = 10.0\nrun.t_end = 50.0\ninitial.kind = sine\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(rhosphere.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-m", "rhosphere.cli", "simulate", "--config", str(cfg),
+                           "--out", str(tmp_path / "run")],
+                          env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, timeout=120)
+    assert done.returncode == 2
+    assert "RuntimeWarning" not in done.stderr
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("run stopped early: non-finite state"), done.stderr
+
+
 def adaptive_cfg(tmp_path):
     # a peakon pair through breaking, with no run.dt: error-controlled steps
     return write_cfg(tmp_path, "\n".join(PEAKON_PAIR_BREAKING[:4] + ["run.snapshot_stride = 10"]),
@@ -526,7 +542,7 @@ def test_adaptive_step_floor_exits_2(tmp_path, capsys, monkeypatch):
     import rhosphere.integrate as integrate
     from rhosphere.lagrangian import LagrangianState
 
-    def broken(grid, state, mu, h, stage1, t):
+    def broken(grid, state, mu, h, stage1, t, ws):
         return LagrangianState(np.full(grid.n, np.inf), state.rho_t, state.k0, t), np.zeros(2 * grid.n + 1)
 
     monkeypatch.setattr(integrate, "_dp_trial", broken)

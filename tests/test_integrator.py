@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -19,8 +20,9 @@ from rhosphere import (
     initial_state,
     lagrangian_velocity,
 )
-from rhosphere.integrate import MAX_STEPS, project, step_count
-from rhosphere.lagrangian import evaluate, pressure
+import rhosphere.integrate as integrate
+from rhosphere.integrate import _DP_A, _DP_E, MAX_STEPS, BreakingEvent, _hermite_weights, project, step_count
+from rhosphere.lagrangian import _rhs_arrays, evaluate, pressure
 from rhosphere.validate import random_state
 
 from exact_peakons import ExactPair
@@ -362,15 +364,29 @@ def peakon_pair(n, d, energy_=1.0):
 
 
 @pytest.fixture(scope="module", params=[0.10, 0.11], ids=["d0.10", "d0.11"])
-def adaptive_and_fine(request):
+def pair_runs(request):
     """The pair through its collision (near 0.93 and 0.98), error-controlled
     and at a fixed step dt_heuristic / 20, about 1e-4, with snapshots at
-    the same times."""
+    the same times; and the brackets each run handed to the bisection."""
     grid, state, mu = peakon_pair(256, request.param)
     t_end = 1.06
-    adaptive = evolve(grid, state, mu, IntegratorConfig(t_end=t_end, snapshot_stride=50))
-    fine = evolve(grid, state, mu, IntegratorConfig(dt=adaptive.dt / 20, t_end=t_end, snapshot_stride=1000))
-    return grid, adaptive, fine
+    brackets = []
+    bisect = integrate._label_crossings
+
+    def kept(run_brackets):
+        brackets.append(run_brackets)
+        return bisect(run_brackets)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(integrate, "_label_crossings", kept)
+        adaptive = evolve(grid, state, mu, IntegratorConfig(t_end=t_end, snapshot_stride=50))
+        fine = evolve(grid, state, mu, IntegratorConfig(dt=adaptive.dt / 20, t_end=t_end, snapshot_stride=1000))
+    return grid, adaptive, fine, brackets
+
+
+@pytest.fixture(scope="module")
+def adaptive_and_fine(pair_runs):
+    return pair_runs[:3]
 
 
 def state_gap(a, b):
@@ -415,6 +431,100 @@ def test_adaptive_events_are_per_label_hermite_roots(adaptive_and_fine):
     t_fine = next(e.time for e in fine.events if mid in e.locations)
     assert abs(t_adaptive - t_fine) <= 2e-3
     assert t_adaptive not in adaptive.series.t
+
+
+def weights_form_crossings(brackets):
+    """The events as the bisection found them when it formed each label's
+    interpolant from the Hermite weights at every round: the reference
+    for the one on the cubic's coefficients."""
+    crossing = [b for b in brackets if b[4] is not None]
+    if crossing:
+        ya, yb, ma, mb = np.concatenate([b[4] for b in crossing], axis=1)
+        sizes = [len(b[3]) for b in crossing]
+        t_a = np.repeat([b[0] for b in crossing], sizes)
+        h = np.repeat([b[1] - b[0] for b in crossing], sizes)
+        up = ya > 0.0
+        lo, hi = np.zeros(ya.size), np.ones(ya.size)
+        for _ in range(53):
+            s = 0.5 * (lo + hi)
+            wa, wb, da, db = _hermite_weights(s, h)
+            same = (wa * ya + wb * yb + da * ma + db * mb > 0.0) == up
+            lo = np.where(same, s, lo)
+            hi = np.where(same, hi, s)
+        times = t_a + 0.5 * (lo + hi) * h
+    events, k = [], 0
+    for _, t_b, min_rho, labels, ends in brackets:
+        if ends is None:
+            events.append(BreakingEvent(t_b, list(labels), min_rho))
+            continue
+        step_times = times[k:k + len(labels)]
+        k += len(labels)
+        events += [BreakingEvent(float(step_times[j]), [int(labels[j])], min_rho)
+                   for j in np.argsort(step_times, kind="stable")]
+    return events
+
+
+def test_bisection_matches_the_weights_form(pair_runs):
+    # the same labels in the same order, and each time within 1 ulp
+    _, adaptive, fine, brackets = pair_runs
+    assert len(brackets) == 2
+    for rec, run_brackets in zip((adaptive, fine), brackets):
+        reference = weights_form_crossings(run_brackets)
+        assert len(reference) > 40
+        assert [(e.locations, e.min_rho) for e in rec.events] == [(e.locations, e.min_rho) for e in reference]
+        assert all(abs(e.time - r.time) <= math.ulp(r.time) for e, r in zip(rec.events, reference))
+
+
+def allocating_dp_trial(grid, state, mu, h, stage1, t):
+    """The trial with a new array for every stage state and weighted sum:
+    the reference that the trial in the run's workspace matches bit for
+    bit."""
+    n = grid.n
+    y = np.concatenate((state.rho, state.rho_t, (state.k0,)))
+    stages = np.empty((6, 2 * n + 1))
+    stages[0] = np.append(stage1.slope, stage1.offset)
+    for i in range(1, 6):
+        ys = y + (h * _DP_A[i - 1, :i]) @ stages[:i]
+        stages[i, :n] = ys[n:-1]
+        stages[i, -1] = _rhs_arrays(grid, ys[:n], ys[n:-1], mu, stages[i, n:-1])[0]
+    new = y + (h * _DP_A[5]) @ stages
+    return LagrangianState(new[:n], new[n:-1], float(new[-1]), t), (h * _DP_E[:6]) @ stages
+
+
+@pytest.mark.parametrize("case", ["sine64", "pair256"])
+def test_workspace_trial_matches_the_allocating_trial(case):
+    grid, state, mu = initial_state(InitialSpec("sine", 64, amplitude=0.5)) if case == "sine64" \
+        else peakon_pair(256, 0.1)
+    state = project(grid, state)
+    ev = evaluate(grid, state, mu)
+    ws = integrate._Workspace(grid.n, True)
+
+    def trial(h):
+        """Whether the two trials agree bit for bit, and the candidate is finite."""
+        new, part = integrate._dp_trial(grid, state, mu, h, ev, h, ws)
+        ref, ref_part = allocating_dp_trial(grid, state, mu, h, ev, h)
+        same = (np.array_equal(new.rho, ref.rho, equal_nan=True)
+                and np.array_equal(new.rho_t, ref.rho_t, equal_nan=True)
+                and np.array_equal(new.k0, ref.k0, equal_nan=True) and new.t == ref.t
+                and np.array_equal(part, ref_part, equal_nan=True))
+        return same, integrate._finite(new)
+
+    for h in (1e-3, 0.02, 0.1):
+        assert trial(h) == (True, True)
+    # a trial long enough to go non-finite, as a rejected one can, leaves
+    # nothing in the workspace that the next trial reads
+    with np.errstate(all="ignore"):
+        assert trial(1e6) == (True, False)
+    assert trial(0.02) == (True, True)
+
+
+def test_a_failing_run_issues_no_numpy_warning():
+    # RK4 at dt = 10 overflows within a few steps; the StepFailure says so
+    grid, state, mu = initial_state(InitialSpec("sine", 64, amplitude=1.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(StepFailure, match="non-finite state at step"):
+            evolve(grid, state, mu, IntegratorConfig(dt=10.0, t_end=50.0))
 
 
 def test_adaptive_energy_drift_at_the_collision():
@@ -483,7 +593,7 @@ def test_adaptive_step_floor_stops_the_run(monkeypatch, field, bad):
     # +inf or NaN must not pass with the zero error estimate beside it
     import rhosphere.integrate as integrate
 
-    def broken(grid, state, mu, h, stage1, t):
+    def broken(grid, state, mu, h, stage1, t, ws):
         parts = {"rho": state.rho, "rho_t": state.rho_t, field: np.full(grid.n, bad)}
         return LagrangianState(parts["rho"], parts["rho_t"], state.k0, t), np.zeros(2 * grid.n + 1)
 
@@ -504,8 +614,8 @@ def test_adaptive_rejects_trials_with_non_finite_rho_t(monkeypatch):
 
     real = integrate._dp_trial
 
-    def long_steps_break(grid, state, mu, h, stage1, t):
-        new, part = real(grid, state, mu, h, stage1, t)
+    def long_steps_break(grid, state, mu, h, stage1, t, ws):
+        new, part = real(grid, state, mu, h, stage1, t, ws)
         return (LagrangianState(new.rho, np.full(grid.n, np.nan), new.k0, t) if h > 0.01 else new), part
 
     monkeypatch.setattr(integrate, "_dp_trial", long_steps_break)
