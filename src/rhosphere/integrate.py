@@ -453,8 +453,7 @@ def _label_crossings(brackets):
         c3 = h * (ma + mb) - 2.0 * rise
         up = ya > 0.0
         lo, hi = np.zeros(ya.size), np.ones(ya.size)
-        s, value = np.empty(ya.size), np.empty(ya.size)
-        positive, same = np.empty(ya.size, dtype=bool), np.empty(ya.size, dtype=bool)
+        s, value, same = np.empty(ya.size), np.empty(ya.size), np.empty(ya.size, dtype=bool)
         for _ in range(53):
             np.add(lo, hi, out=s)
             s *= 0.5
@@ -464,7 +463,7 @@ def _label_crossings(brackets):
             value += c1
             value *= s
             value += ya
-            np.equal(np.greater(value, 0.0, out=positive), up, out=same)
+            np.equal(np.greater(value, 0.0, out=same), up, out=same)
             np.copyto(lo, s, where=same)
             np.copyto(hi, s, where=np.logical_not(same, out=same))
         times = t_a + 0.5 * (lo + hi) * h
