@@ -14,7 +14,10 @@ operations), the machine (processor count, Python, numpy and BLAS, as
 perfbench records them) and, with a baseline, a summary of each
 end-to-end metric: both medians, the baseline's interquartile range, the
 ratio of the medians, the number of pairs the change won and whether the
-gain rule holds.  The gain rule: the change won at least 9 of 10 pairs,
+gain rule holds.  Each run also records the host's steal share over it,
+the share of all CPU time in /proc/stat that the hypervisor gave to other
+guests, and the summary gives each side's median, so that a record shows
+when one side ran in a spell of contention.  The gain rule: the change won at least 9 of 10 pairs,
 and its median is better than the baseline's by more than the baseline's
 interquartile range.
 
@@ -52,21 +55,45 @@ def commit_of(checkout: Path) -> dict | None:
     return {"head": head.stdout.strip(), "modified": bool(status.stdout.strip())}
 
 
+def cpu_times() -> tuple[int, int] | None:
+    """(steal, total) jiffies of the host's `cpu` line in /proc/stat, the
+    guest fields left out of the total since user and nice hold them; None
+    where there is no such file."""
+    try:
+        with open("/proc/stat", encoding="ascii") as f:
+            fields = [int(v) for v in f.readline().split()[1:9]]
+    except (OSError, ValueError):
+        return None
+    return fields[7], sum(fields)
+
+
 def run_one(checkout: Path, workload: str, trace: int, seed: int = SEED) -> tuple[dict, dict]:
-    """(record, result) of one perfbench run in `checkout`."""
+    """(record, result) of one perfbench run in `checkout`; the result
+    gains the steal share over the run, or None where it is unknown."""
+    before = cpu_times()
     done = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(SECONDS), "--trace", str(trace)],
         cwd=checkout, capture_output=True, text=True, check=True)
+    after = cpu_times()
     lines = done.stdout.strip().splitlines()
-    return json.loads(lines[-2]), json.loads(lines[-1])
+    record, result = json.loads(lines[-2]), json.loads(lines[-1])
+    total = after[1] - before[1] if before and after else 0
+    result["steal_share"] = (after[0] - before[0]) / total if total > 0 else None
+    return record, result
+
+
+def median_steal(runs: list[dict]) -> float | None:
+    shares = [r["steal_share"] for r in runs if r.get("steal_share") is not None]
+    return statistics.median(shares) if shares else None
 
 
 def summary(change: list[dict], baseline: list[dict]) -> dict:
     """Per end-to-end metric: medians, the baseline's interquartile range,
     the ratio of the medians, the pairs the change won and whether the
     gain rule holds: at least 9 of 10 pairs won, and the median better by
-    more than the baseline's interquartile range."""
+    more than the baseline's interquartile range.  Under "steal_share",
+    each side's median steal share."""
     lower = {m["name"]: m["better"] == "lower" for m in BENCHMARK["end_to_end"]}
     out = {}
     for metric, is_lower in lower.items():
@@ -80,6 +107,7 @@ def summary(change: list[dict], baseline: list[dict]) -> dict:
                        "baseline_iqr": q3 - q1, "ratio": ch_median / base_median,
                        "change_won": f"{wins}/{len(ch)}",
                        "gain_rule_holds": 10 * wins >= 9 * len(ch) and gain > q3 - q1}
+    out["steal_share"] = {"change_median": median_steal(change), "baseline_median": median_steal(baseline)}
     return out
 
 

@@ -71,11 +71,11 @@ class PeriodicGrid:
         self._den_work = np.empty((2, n // 2 + 1), dtype=complex)
         self._shift_work = np.empty((2, 1), dtype=complex)
         self._real_work = np.empty((2, n))
-        # the field evaluation's rows, as `lagrangian._rhs_arrays` lays them
-        # out, and the row pairs its antiderivative transform reads (rows
-        # 0-1) and writes (rows 2-3), all as views made once
+        # the field evaluation's rows, as `lagrangian` lays them out, then
+        # the row pairs its antiderivative transform reads (rows 0-1) and
+        # writes (rows 2-3) and the block (w, rho_t^2), as views made once
         work = np.empty((9, n))
-        self._field_rows = (*work, work[0:2], work[2:4])
+        self._field_rows = (*work, work[0:2], work[2:4], work[6:8])
 
     def __repr__(self):
         return f"PeriodicGrid(n={self.n})"
@@ -99,10 +99,15 @@ class PeriodicGrid:
 
         Splits off the mean (which integrates to a linear ramp) and inverts
         the derivative mode by mode on the fluctuation.  Exact for
-        band-limited integrands, which the trapezoid rule is not; the kernel
-        and velocity fields in `lagrangian` rely on this.
+        band-limited integrands, which the trapezoid rule is not; the field
+        evaluation in `lagrangian` runs the same transforms, batched.
         """
-        return self._antideriv(self.check(w))
+        w = self.check(w)
+        mean = w.sum() * self._inv_n
+        spec = self._rfft(w - mean, self._spec_work[0])
+        spec *= self._inv_ik
+        anti = self._irfft(spec, self._real_work[0])
+        return mean * self.x + (anti - anti[0])
 
     def _rfft(self, a: np.ndarray, out: np.ndarray) -> np.ndarray:
         # np.fft.rfft(a) on the last axis, written into out: the gufunc that
@@ -114,16 +119,6 @@ class PeriodicGrid:
         # np.fft.irfft(spec, n, norm="forward") on the last axis, written
         # into out (which fixes n): the unnormalised inverse, factor 1
         return _pocketfft.irfft(spec, 1.0, out=out)
-
-    def _antideriv(self, w: np.ndarray) -> np.ndarray:
-        # unvalidated cumint_spectral, for callers whose arrays are already
-        # known to be finite grid functions; the transforms run in the
-        # first rows of the work buffers, and the result is a new array
-        mean = w.sum() * self._inv_n
-        spec = self._rfft(w - mean, self._spec_work[0])
-        spec *= self._inv_ik
-        anti = self._irfft(spec, self._real_work[0])
-        return mean * self.x + (anti - anti[0])
 
     def deriv(self, w) -> np.ndarray:
         """Spectral periodic derivative, the Nyquist mode dropped."""

@@ -25,20 +25,16 @@ breaking, so the step is limited by accuracy alone; a step the
 controller shrinks below t_end / MAX_STEPS stops the run with
 StepFailure instead of looping on.
 
-A run steps in one workspace, allocated when it starts, on either
-stepper: for RK4 the stacked start state of a step, its stage state and
-slope and the weighted sum of its slopes; for Dormand-Prince the stacked
-start state of a trial, its stage stack, stage state, stage combination
-and error estimate; and scratch rows for the error norm and the
-diagnostics.  The right-hand side writes its intermediate fields into the
-grid's own work buffers.  A state leaves the workspace once per step,
+A run steps in one workspace (`_Workspace`), allocated when it starts,
+and the right-hand side writes its intermediate fields into the grid's
+own work buffers.  A state leaves the workspace once per step,
 projected (or copied, without projection) into a new (2, n) array, so a
 kept snapshot holds its own 2n floats and pins no buffer.  Each
 arithmetic operation is the one an allocating version would make, in the
 same order, so a trajectory is the same bit for bit however its arrays
-are held.  The projection's inner
-products stay pairwise sums: a BLAS dot product rounds differently, and
-the energy-drift order of the acceptance criteria sits at round-off.
+are held.  The projection's inner products stay pairwise sums: a BLAS
+dot product rounds differently, and the energy-drift order of the
+acceptance criteria sits at round-off.
 
 Snapshots are the states at t = i dt for every snapshot_stride-th i and
 at t_end, dt being the given step or, when unset, `default_dt`.  An
@@ -56,8 +52,6 @@ timed at the root of that label's cubic Hermite interpolant inside the
 step, so the events of a run do not depend on its steps.  The loop keeps
 only each such label's rho and rho_t at both ends of the step; the roots
 of the whole run are found together when it ends, or when it stops early.
-A step in which min|rho| first dips under breaking_eps without a sign
-change is an event at its end.
 """
 
 from __future__ import annotations
@@ -68,7 +62,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grid import PeriodicGrid
-from .lagrangian import LagrangianState, _rhs_arrays, energy, evaluate
+from .lagrangian import LagrangianState, _energy, _rhs_arrays, energy, evaluate
 
 # local error allowed per error-controlled step, relative to the state's
 # largest entry (or to 1, whichever is larger)
@@ -108,9 +102,8 @@ class IntegratorConfig:
 @dataclass
 class BreakingEvent:
     """One label's rho changing sign, at the root of its Hermite
-    interpolant, or min|rho| first entering the breaking_eps band, at the
-    end of the step with the argmin label; locations holds that label.
-    min_rho is the minimum of rho at the end of the step."""
+    interpolant; locations holds that label.  min_rho is the minimum of
+    rho at the end of the step."""
 
     time: float
     locations: list[int]
@@ -436,42 +429,39 @@ def _label_crossings(brackets):
     at t_a and t_b, then their rho_t at t_a and t_b.  Each is an event at
     the root of its Hermite interpolant, all brackets bisected together to
     round-off on the interpolants' coefficients in s, evaluated in Horner
-    form in arrays allocated once.  ends None marks a band entry, an event
-    at t_b.  Events keep step order, and the labels of one step go by time.
+    form in arrays allocated once.  Events keep step order, and the labels
+    of one step go by time.
     """
-    crossing = [b for b in brackets if b[4] is not None]
-    if crossing:
-        ya, yb, ma, mb = np.concatenate([b[4] for b in crossing], axis=1)
-        sizes = [len(b[3]) for b in crossing]
-        t_a = np.repeat([b[0] for b in crossing], sizes)
-        h = np.repeat([b[1] - b[0] for b in crossing], sizes)
-        # ya + s (c1 + s (c2 + s c3)), the interpolant of _hermite_weights
-        # at the fraction s of the step
-        rise = yb - ya
-        c1 = h * ma
-        c2 = 3.0 * rise - 2.0 * c1 - h * mb
-        c3 = h * (ma + mb) - 2.0 * rise
-        up = ya > 0.0
-        lo, hi = np.zeros(ya.size), np.ones(ya.size)
-        s, value, same = np.empty(ya.size), np.empty(ya.size), np.empty(ya.size, dtype=bool)
-        for _ in range(53):
-            np.add(lo, hi, out=s)
-            s *= 0.5
-            np.multiply(c3, s, out=value)
-            value += c2
-            value *= s
-            value += c1
-            value *= s
-            value += ya
-            np.equal(np.greater(value, 0.0, out=same), up, out=same)
-            np.copyto(lo, s, where=same)
-            np.copyto(hi, s, where=np.logical_not(same, out=same))
-        times = t_a + 0.5 * (lo + hi) * h
+    if not brackets:
+        return []
+    ya, yb, ma, mb = np.concatenate([b[4] for b in brackets], axis=1)
+    sizes = [len(b[3]) for b in brackets]
+    t_a = np.repeat([b[0] for b in brackets], sizes)
+    h = np.repeat([b[1] - b[0] for b in brackets], sizes)
+    # ya + s (c1 + s (c2 + s c3)), the interpolant of _hermite_weights
+    # at the fraction s of the step
+    rise = yb - ya
+    c1 = h * ma
+    c2 = 3.0 * rise - 2.0 * c1 - h * mb
+    c3 = h * (ma + mb) - 2.0 * rise
+    up = ya > 0.0
+    lo, hi = np.zeros(ya.size), np.ones(ya.size)
+    s, value, same = np.empty(ya.size), np.empty(ya.size), np.empty(ya.size, dtype=bool)
+    for _ in range(53):
+        np.add(lo, hi, out=s)
+        s *= 0.5
+        np.multiply(c3, s, out=value)
+        value += c2
+        value *= s
+        value += c1
+        value *= s
+        value += ya
+        np.equal(np.greater(value, 0.0, out=same), up, out=same)
+        np.copyto(lo, s, where=same)
+        np.copyto(hi, s, where=np.logical_not(same, out=same))
+    times = t_a + 0.5 * (lo + hi) * h
     events, k = [], 0
-    for _, t_b, min_rho, labels, ends in brackets:
-        if ends is None:
-            events.append(BreakingEvent(t_b, list(labels), min_rho))
-            continue
+    for _, _, min_rho, labels, _ in brackets:
         step_times = times[k:k + len(labels)]
         k += len(labels)
         events += [BreakingEvent(float(step_times[j]), [int(labels[j])], min_rho)
@@ -504,19 +494,18 @@ class _Rows:
 
 def _diagnostics_row(grid, state, ev, eps, ws):
     # every entry comes from fields the evaluation at this state formed;
-    # the sums are np.add.reduce, which .sum() calls through a Python
-    # wrapper, so they are the same pairwise sums
+    # the energy is `energy`'s own sum of the evaluation's (w, rho_t^2)
     inv_n = grid._inv_n
     scratch = ws.scratch
     amin = int(state.rho.argmin())
     return (
-        (float(np.add.reduce(ev.w)) + 2.0 * float(np.add.reduce(ev.rho_t2))) * inv_n,
+        _energy(grid, ev.source),
         abs(ev.alpha - 1.0),
         abs(0.5 * ev.flux),
         float(state.rho[amin]),
         np.count_nonzero(np.less(ev.rho2, eps * eps, out=ws.below)) * inv_n,
         float(np.dot(ev.vel, ev.rho2)) * inv_n,
-        float(_at_argmin(np.add(ev.rho2, ev.rho_t2, out=scratch))),
+        float(_at_argmin(np.add(ev.rho2, ev.source[1], out=scratch))),
         float(_at_argmax(np.abs(ev.gap, out=scratch))),
         amin,
     )
@@ -554,7 +543,6 @@ def evolve(grid: PeriodicGrid, state: LagrangianState, mu: float, cfg: Integrato
     row = _diagnostics_row(grid, state, ev, cfg.breaking_eps, ws)
     rows.add(0.0, row)
     on_snapshot(state, 0)
-    in_band = abs(row[3]) < cfg.breaking_eps
     positive = state.rho > 0.0
     brackets = []
     # next snapshot: every stride-th point of the dt grid, and the last
@@ -575,14 +563,10 @@ def evolve(grid: PeriodicGrid, state: LagrangianState, mu: float, cfg: Integrato
 
                 now_positive = new.rho > 0.0
                 flipped = now_positive != positive
-                now_in_band = abs(row[3]) < cfg.breaking_eps
                 if _at_argmax(flipped):
                     crossed = np.flatnonzero(flipped)
                     ends = np.stack((state.rho[crossed], new.rho[crossed], state.rho_t[crossed], new.rho_t[crossed]))
                     brackets.append((state.t, new.t, row[3], crossed, ends))
-                elif now_in_band and not in_band:
-                    brackets.append((state.t, new.t, row[3], [row[8]], None))
-                in_band = now_in_band
                 positive = now_positive
 
                 while snap <= steps and snap_t <= new.t:

@@ -50,10 +50,17 @@ trigonometric interpolant of the integrand, so they agree to round-off, and
 trapezoid prefix sums are avoided on purpose: their second-order error
 (about 1e-5 at n = 128) would swamp the conservation identities that the
 validation suite checks at 1e-10.
+
+One field route: a batched transform pair writes pt and vel into the
+grid's work rows, and the right-hand side, `lagrangian_velocity`,
+`kernel_fields`, `pressure` and `energy` all read them, so each gives the
+integrator's own numbers bit for bit.  Both kernel modes take pt from the
+pair; the direct mode's own DFT checks the fast prefix assembly.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -166,34 +173,6 @@ def _exp_partials_direct(grid, p_tilde, alpha, w):
     return ep, em, (np.exp(alpha) - 1.0) * const[0], (np.exp(-alpha) - 1.0) * const[1]
 
 
-def _warp(grid, rho2):
-    """Cumulative slope P, its mean rate alpha, and the periodic part."""
-    alpha = float(rho2.sum() * grid._inv_n)
-    p = grid._antideriv(rho2)
-    return p, alpha, p - alpha * grid.x
-
-
-def _kernel_terms(gp, qp, qm, cp, cm, epf, emf, eb):
-    """The pieces (qp, qm, ea, eb) that `kernel_fields` combines, from
-    gp = e^{P} and the partial integrals of either route.
-
-    The near lobe of the kernel (y <= x) and the far lobe (y > x) each split
-    into e^{+-P(x)} times a partial integral; regrouped,
-
-        press = ea + eb - (qp - qm) / 2,    pgrad = ea - eb - (qp + qm) / 2,
-
-    with ea = a e^{P} and eb = b e^{-P} for two scalars a, b built from the
-    full-period integrals.  ea overwrites gp, and eb is written into eb, an
-    array of n that the fast route first holds e^{pt} in.
-    """
-    scale = 1.0 / (4.0 * HALF_SINH)
-    a = (emf * _SQRT_E - 2.0 * HALF_SINH * cp) * scale
-    b = (epf / _SQRT_E + 2.0 * HALF_SINH * cm) * scale
-    np.divide(b, gp, out=eb)
-    gp *= a
-    return qp, qm, gp, eb
-
-
 def _press(qp, qm, ea, eb):
     """Even combination of the kernel terms; overwrites qp and ea."""
     qp -= qm
@@ -203,45 +182,114 @@ def _press(qp, qm, ea, eb):
     return ea
 
 
-def _kernel_pair(grid, rho2, w, mode):
-    if mode not in ("fast", "direct"):
-        raise ValueError(f"unknown kernel mode {mode!r}")
-    p, alpha, p_tilde = _warp(grid, rho2)
-    eb = np.empty(grid.n)
+def _antiderivative_pair(grid, rho, rho_t, mu):
+    """rho^2, rho rho_t, then p_tilde = P - alpha x and vel by one batched
+    transform pair, into the grid's work rows; returns (alpha, flux,
+    offset).  p_tilde is not anchored at 0, since the kernel sees P only
+    through differences P(x) - P(y).  No validation."""
+    rho2, rho_rho_t, _, vel, _, ramp, *_, src, anti, _ = grid._field_rows
+    np.multiply(rho, rho, out=rho2)
+    np.multiply(rho, rho_t, out=rho_rho_t)
+    # the zero mode carries the means alpha and flux, and _pair_inv_ik
+    # drops it, so nothing is subtracted up front
+    spec = grid._rfft(src, grid._spec_work)
+    alpha = float(spec[0, 0].real) * grid._inv_n
+    flux = 2.0 * float(spec[1, 0].real) * grid._inv_n
+    spec *= grid._pair_inv_ik
+    grid._irfft(spec, anti)
+    # vel = run + offset, where run = int_0^x 2 rho rho_t is vel_u - vel_u(0)
+    # for vel_u = anti[1] + flux x, and the offset pins quad(vel rho^2) = mu;
+    # the anchor vel_u(0) folds into that one shift
+    anchor = float(vel[0])
+    vel += np.multiply(grid.x, flux, out=ramp)
+    offset = mu - float(np.dot(vel, rho2)) * grid._inv_n + anchor * alpha
+    vel += offset - anchor
+    return alpha, flux, offset
+
+
+def _source_rows(grid, rho_t, vel):
+    """vel^2, rho_t^2 and w = rho^2 vel^2 + 2 rho_t^2 into their work rows,
+    from the rho^2 that `_antiderivative_pair` left."""
+    rho2, _, _, _, _, vel2, w, rho_t2, *_ = grid._field_rows
+    np.multiply(vel, vel, out=vel2)
+    np.multiply(rho_t, rho_t, out=rho_t2)
+    np.multiply(rho2, vel2, out=w)
+    w += rho_t2
+    w += rho_t2
+
+
+def _kernel(grid, alpha, mode):
+    """The pieces (qp, qm, ea, eb) that `kernel_fields` combines, from the
+    p_tilde and w rows, by either route.
+
+    The near lobe of the kernel (y <= x) and the far lobe (y > x) each split
+    into e^{+-P(x)} times a partial integral; regrouped,
+
+        press = ea + eb - (qp - qm) / 2,    pgrad = ea - eb - (qp + qm) / 2,
+
+    with ea = a e^{P} and eb = b e^{-P} for two scalars a, b built from the
+    full-period integrals.  ea is the P row, and eb the row that the fast
+    route first holds e^{pt} in.
+    """
+    _, _, p_tilde, _, p, _, w, _, eb, *_ = grid._field_rows
+    np.multiply(grid.x, alpha, out=p)
+    p += p_tilde
     gp = np.exp(p, out=p)
     if mode == "fast":
-        return _kernel_terms(gp, *_exp_partials_fast(grid, p_tilde, alpha, w, eb), eb)
-    ep, em, epf, emf = _exp_partials_direct(grid, p_tilde, alpha, w)
-    return _kernel_terms(gp, gp * em, ep / gp, 0.0, 0.0, epf, emf, eb)
+        qp, qm, cp, cm, epf, emf = _exp_partials_fast(grid, p_tilde, alpha, w, eb)
+    else:
+        ep, em, epf, emf = _exp_partials_direct(grid, p_tilde, alpha, w)
+        qp, qm, cp, cm = gp * em, ep / gp, 0.0, 0.0
+    scale = 1.0 / (4.0 * HALF_SINH)
+    a = (emf * _SQRT_E - 2.0 * HALF_SINH * cp) * scale
+    b = (epf / _SQRT_E + 2.0 * HALF_SINH * cm) * scale
+    np.divide(b, gp, out=eb)
+    gp *= a
+    return qp, qm, gp, eb
 
 
-def _source_density(state, vel):
-    return state.rho**2 * vel**2 + 2.0 * state.rho_t**2
+def _energy(grid, source):
+    """quad(rho^2 vel^2 + 4 rho_t^2) = quad(w + 2 rho_t^2), from the (2, n)
+    block (w, rho_t^2) in one pairwise sum per row."""
+    sums = np.add.reduce(source, axis=1)
+    return (float(sums[0]) + 2.0 * float(sums[1])) * grid._inv_n
 
 
 def lagrangian_velocity(grid: PeriodicGrid, state: LagrangianState, mu: float) -> np.ndarray:
     """Material velocity vel = int_0^x 2 rho rho_t dy + offset.
 
     Warns if the tangency defect, relative to max(1, max|2 rho rho_t|), is
-    large enough that vel cannot close up over the period.
+    large enough that vel cannot close up over the period; raises
+    ValueError for a state that is not finite.
     """
-    rho2_t = 2.0 * state.rho * state.rho_t
-    closure = grid.quad(rho2_t)
-    if abs(closure) > TANGENCY_WARN * max(1.0, float(np.abs(rho2_t).max())):
+    # a non-finite entry of the state or of its products leaves alpha,
+    # flux or the offset non-finite
+    alpha, flux, offset = _antiderivative_pair(grid, state.rho, state.rho_t, mu)
+    if not (math.isfinite(alpha) and math.isfinite(flux) and math.isfinite(offset)):
+        raise ValueError("the state or its products are not finite")
+    rows = grid._field_rows
+    if abs(flux) > TANGENCY_WARN * max(1.0, 2.0 * float(np.abs(rows[1], out=rows[5]).max())):
         warnings.warn(
-            f"tangency defect {closure:.3e} exceeds {TANGENCY_WARN:.0e} of max(1, max|2 rho rho_t|); "
+            f"tangency defect {flux:.3e} exceeds {TANGENCY_WARN:.0e} of max(1, max|2 rho rho_t|); "
             "velocity will not be periodic",
             stacklevel=2,
         )
-    # quad has validated rho2_t already
-    run = grid._antideriv(rho2_t)
-    return run + (mu - grid.quad(run * state.rho**2))
+    return rows[3].copy()
+
+
+def _kernel_at(grid, state, vel, mode):
+    if mode not in ("fast", "direct"):
+        raise ValueError(f"unknown kernel mode {mode!r}")
+    # the pair's vel row is not read: the source density is the caller's
+    alpha = _antiderivative_pair(grid, state.rho, state.rho_t, 0.0)[0]
+    _source_rows(grid, state.rho_t, vel)
+    return _kernel(grid, alpha, mode)
 
 
 def pressure(grid: PeriodicGrid, state: LagrangianState, vel: np.ndarray, mode: str = "fast") -> np.ndarray:
     """Kernel average of rho^2 vel^2 + 2 rho_t^2 in flow-distance metric;
     the even half of `kernel_fields`, without the gradient."""
-    return _press(*_kernel_pair(grid, state.rho**2, _source_density(state, vel), mode))
+    return _press(*_kernel_at(grid, state, vel, mode)).copy()
 
 
 def kernel_fields(grid: PeriodicGrid, state: LagrangianState, vel: np.ndarray,
@@ -249,13 +297,13 @@ def kernel_fields(grid: PeriodicGrid, state: LagrangianState, vel: np.ndarray,
     """Pressure and its odd-kernel companion, the pressure gradient, from
     one kernel evaluation; the gradient equals the pressure slope along the
     flow."""
-    qp, qm, ea, eb = _kernel_pair(grid, state.rho**2, _source_density(state, vel), mode)
+    qp, qm, ea, eb = _kernel_at(grid, state, vel, mode)
     # the odd combination first: the even one overwrites qp and ea
     half = np.add(qp, qm)
     half *= 0.5
     pgrad = np.subtract(ea, eb)
     pgrad -= half
-    return _press(qp, qm, ea, eb), pgrad
+    return _press(qp, qm, ea, eb).copy(), pgrad
 
 
 @dataclass
@@ -263,10 +311,10 @@ class FieldEval:
     """One full right-hand-side evaluation with its intermediate fields.
 
     slope stacks (drho, drho_t); gap is vel^2 - press, so that
-    drho_t = rho * gap / 2.  rho2, rho_t2 and w are the squares and the
-    source density the kernel averaged; alpha = quad(rho^2) and
-    flux = quad(2 rho rho_t) are what the sphere and tangency constraints
-    hold at 1 and 0.
+    drho_t = rho * gap / 2.  rho2 is rho^2, and source stacks w, the
+    source density the kernel averaged, over rho_t^2; alpha = quad(rho^2)
+    and flux = quad(2 rho rho_t) are what the sphere and tangency
+    constraints hold at 1 and 0.
     """
 
     vel: np.ndarray
@@ -275,8 +323,7 @@ class FieldEval:
     slope: np.ndarray
     gap: np.ndarray
     rho2: np.ndarray
-    rho_t2: np.ndarray
-    w: np.ndarray
+    source: np.ndarray
     alpha: float
     flux: float
 
@@ -297,45 +344,19 @@ def _rhs_arrays(grid, rho, rho_t, mu, out):
     """Hot-path field evaluation on raw arrays (no validation, no wrapping).
 
     Writes drho_t = rho (vel^2 - press) / 2 into out and returns (offset,
-    vel, press, gap, rho2, rho_t2, w, alpha, flux) as in FieldEval; drho is
+    vel, press, gap, rho2, source, alpha, flux) as in FieldEval; drho is
     rho_t itself and dk0 is the offset.  The returned fields are rows of
     the grid's work buffers, which the next evaluation on the grid
     overwrites.
     """
-    rho2, rho_rho_t, p_tilde, vel, p, vel2, rho_t2, w, eb, src, anti = grid._field_rows
-    np.multiply(rho, rho, out=rho2)
-    np.multiply(rho, rho_t, out=rho_rho_t)
-    # the periodic parts of the antiderivatives of rho^2 and of 2 rho rho_t,
-    # through one batched transform pair.  The zero mode carries the means
-    # alpha and flux, and _pair_inv_ik drops it, so nothing is subtracted
-    # up front; the rows are not yet anchored at 0
-    spec = grid._rfft(src, grid._spec_work)
-    alpha = float(spec[0, 0].real) * grid._inv_n
-    flux = 2.0 * float(spec[1, 0].real) * grid._inv_n
-    spec *= grid._pair_inv_ik
-    grid._irfft(spec, anti)
-    # the kernel sees P only through differences P(x) - P(y), so P and its
-    # periodic part may carry any common constant: p_tilde is used unanchored
-    # vel = run + offset, where run = int_0^x 2 rho rho_t is vel_u - vel_u(0)
-    # for vel_u = anti[1] + flux x, and the offset pins quad(vel rho^2) = mu;
-    # the anchor vel_u(0) folds into that one shift
-    anchor = float(vel[0])
-    vel += np.multiply(grid.x, flux, out=vel2)
-    offset = mu - float(np.dot(vel, rho2)) * grid._inv_n + anchor * alpha
-    vel += offset - anchor
-    np.multiply(vel, vel, out=vel2)
-    np.multiply(rho_t, rho_t, out=rho_t2)
-    np.multiply(rho2, vel2, out=w)
-    w += rho_t2
-    w += rho_t2
-    np.multiply(grid.x, alpha, out=p)
-    p += p_tilde
-    gp = np.exp(p, out=p)
-    press = _press(*_kernel_terms(gp, *_exp_partials_fast(grid, p_tilde, alpha, w, eb), eb))
+    alpha, flux, offset = _antiderivative_pair(grid, rho, rho_t, mu)
+    rho2, _, _, vel, _, vel2, *_, source = grid._field_rows
+    _source_rows(grid, rho_t, vel)
+    press = _press(*_kernel(grid, alpha, "fast"))
     gap = np.subtract(vel2, press, out=vel2)
     np.multiply(rho, gap, out=out)
     out *= 0.5
-    return offset, vel, press, gap, rho2, rho_t2, w, alpha, flux
+    return offset, vel, press, gap, rho2, source, alpha, flux
 
 
 def evaluate(grid: PeriodicGrid, state: LagrangianState, mu: float) -> FieldEval:
@@ -343,17 +364,20 @@ def evaluate(grid: PeriodicGrid, state: LagrangianState, mu: float) -> FieldEval
     fields are copies that no later evaluation touches."""
     slope = np.empty((2, grid.n))
     slope[0] = state.rho_t
-    offset, vel, press, gap, rho2, rho_t2, w, alpha, flux = _rhs_arrays(
+    offset, vel, press, gap, rho2, source, alpha, flux = _rhs_arrays(
         grid, state.rho, state.rho_t, mu, slope[1])
-    return FieldEval(vel.copy(), press.copy(), offset, slope, gap.copy(), rho2.copy(), rho_t2.copy(), w.copy(),
-                     alpha, flux)
+    return FieldEval(vel.copy(), press.copy(), offset, slope, gap.copy(), rho2.copy(), source.copy(), alpha, flux)
 
 
 def energy(grid: PeriodicGrid, state: LagrangianState, mu: float) -> float:
     """Conserved energy quad(rho^2 vel^2 + 4 rho_t^2); the H1 norm of the
-    initial velocity profile at t = 0."""
-    vel = lagrangian_velocity(grid, state, mu)
-    return grid.quad(state.rho**2 * vel**2 + 4.0 * state.rho_t**2)
+    initial velocity profile at t = 0, and the diagnostics row's.  Raises
+    ValueError when the state or the energy is not finite."""
+    _source_rows(grid, state.rho_t, lagrangian_velocity(grid, state, mu))
+    e = _energy(grid, grid._field_rows[-1])
+    if not math.isfinite(e):
+        raise ValueError(f"the energy {e} is not finite")
+    return e
 
 
 def apriori_bound(grid: PeriodicGrid, state: LagrangianState) -> float:

@@ -37,13 +37,14 @@ N, T_END = 256, 3.0
 
 def great_circle_rhs(grid, rho, rho_t, mu, out):
     """The Hunter-Saxton field in `_rhs_arrays`' shape: (offset, vel,
-    press, gap, rho2, rho_t2, w, alpha, flux), drho_t = rho gap / 2 in out."""
+    press, gap, rho2, source, alpha, flux), source stacking w over rho_t2,
+    and drho_t = rho gap / 2 in out."""
     rho2 = rho * rho
     rho_t2 = rho_t * rho_t
     q = float(rho_t2.sum()) * grid._inv_n
     np.multiply(rho, -q, out=out)
     gap = np.full(grid.n, -2.0 * q)
-    return (0.0, np.zeros(grid.n), -gap, gap, rho2, rho_t2, 2.0 * rho_t2,
+    return (0.0, np.zeros(grid.n), -gap, gap, rho2, np.stack((2.0 * rho_t2, rho_t2)),
             float(rho2.sum()) * grid._inv_n, 2.0 * float(np.dot(rho, rho_t)) * grid._inv_n)
 
 

@@ -629,24 +629,6 @@ def test_adaptive_rejects_trials_with_non_finite_rho_t(monkeypatch):
     assert all(np.isfinite(s.rho_t).all() for s in rec.snapshots)
 
 
-def test_adaptive_run_records_the_breaking_eps_band():
-    # min rho falls from 1 through 0.3 at t ~ 0.2 before any label changes
-    # sign at t ~ 0.275: both steppers record the band entry at the end of
-    # the step that made it, with the argmin label
-    grid, state, mu = initial_state(InitialSpec("sine", 64, amplitude=1.0))
-    runs = [evolve(grid, state, mu, IntegratorConfig(dt=dt, t_end=0.35, breaking_eps=0.3))
-            for dt in (None, 1e-3)]
-    for rec in runs:
-        band = rec.events[0]
-        assert 0.0 < band.min_rho < 0.3
-        assert band.time in rec.series.t
-        assert band.locations == [int(rec.series.argmin_rho[list(rec.series.t).index(band.time)])]
-        assert all(e.min_rho < 0.0 for e in rec.events[1:])
-    adaptive, fixed = runs
-    i = list(adaptive.series.t).index(adaptive.events[0].time)
-    assert adaptive.series.t[i - 1] < fixed.events[0].time <= adaptive.series.t[i]
-
-
 @pytest.mark.parametrize("dt,t_end", [(1e-300, 1.0), (1e-8, 1.0), (1e-3, float("nan")), (float("nan"), 1.0)])
 def test_evolve_rejects_runs_it_cannot_hold(dt, t_end):
     # 1e-300 once reached numpy as a (8, 1e300) allocation

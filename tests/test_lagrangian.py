@@ -19,8 +19,9 @@ from rhosphere import (
     lagrangian_velocity,
     make_initial,
 )
-from rhosphere.lagrangian import _exp_partials_direct, _source_density, _warp, apriori_bound, evaluate, pressure
-from rhosphere.validate import random_state
+from rhosphere import lagrangian
+from rhosphere.lagrangian import _antiderivative_pair, _exp_partials_direct, _source_rows, apriori_bound, evaluate, pressure
+from rhosphere.validate import random_state, run_identity_suite
 
 
 def on_sphere(grid, seed, amp_rho=0.3, amp_rho_t=0.5):
@@ -128,15 +129,32 @@ def test_direct_partials_match_explicit_exponentials(n):
     clean = on_sphere(grid, n)
     # on the sphere, and off it as an RK stage state is
     for state in (clean, LagrangianState(1.15 * clean.rho, clean.rho_t + 0.2 * clean.rho, 0.0, 0.0)):
-        with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", message="tangency defect")
-            vel = lagrangian_velocity(grid, state, 0.2)
-        _, alpha, p_tilde = _warp(grid, state.rho**2)
-        w = _source_density(state, vel)
+        # p_tilde and w as both kernel routes read them from the shared pair
+        alpha = _antiderivative_pair(grid, state.rho, state.rho_t, 0.2)[0]
+        rows = grid._field_rows
+        _source_rows(grid, state.rho_t, rows[3])
+        p_tilde, w = rows[2].copy(), rows[6].copy()
         got = _exp_partials_direct(grid, p_tilde, alpha, w)
         want = _direct_partials_reference(grid, p_tilde, alpha, w)
         for g, r in zip(got, want):
             assert np.max(np.abs(g - r)) <= 1e-13
+
+
+def test_identity_suite_catches_an_error_in_the_shared_pair(monkeypatch):
+    # both kernel routes take p_tilde from the pair the integrator runs, so
+    # an error there passes the dual-route check; the identities catch it
+    real = lagrangian._antiderivative_pair
+
+    def skewed(grid, rho, rho_t, mu):
+        out = real(grid, rho, rho_t, mu)
+        p_tilde = grid._field_rows[2]
+        p_tilde *= 1.0 + 1e-6
+        return out
+
+    monkeypatch.setattr(lagrangian, "_antiderivative_pair", skewed)
+    rows = {r.name: r for r in run_identity_suite(n=32, n_states=4)}
+    assert rows["pressure_dual_route"].passed
+    assert not rows["kernel_normalization"].passed
 
 
 def test_direct_route_memory_bounded():
@@ -211,7 +229,14 @@ def test_evaluate_bundles_consistent_fields():
     state = on_sphere(grid, 5)
     mu = 0.15
     ev = evaluate(grid, state, mu)
-    assert_allclose(ev.vel, lagrangian_velocity(grid, state, mu), rtol=0, atol=1e-14)
+    # the public routes read the evaluation's own rows, bit for bit
+    vel = lagrangian_velocity(grid, state, mu)
+    assert np.array_equal(ev.vel, vel)
+    assert np.array_equal(ev.press, kernel_fields(grid, state, vel, mode="fast")[0])
+    assert np.array_equal(ev.press, pressure(grid, state, vel))
+    # and the energy is the diagnostics row's (t_end = 0: the row at state)
+    rec = evolve(grid, state, mu, IntegratorConfig(dt=1e-3, t_end=0.0, projection=False))
+    assert energy(grid, state, mu) == rec.series.energy[0]
     assert_allclose(ev.drho, state.rho_t, rtol=0, atol=0)
     assert ev.dk0 == ev.offset
     # acceleration is half rho times (vel^2 - press)
@@ -246,7 +271,7 @@ def test_evaluation_keeps_none_of_the_work_buffers():
     # evaluation overwrites; a FieldEval keeps fields no later one touches
     grid = PeriodicGrid(64)
     ev = evaluate(grid, on_sphere(grid, 12), 0.1)
-    kept = {name: getattr(ev, name).copy() for name in ("vel", "press", "slope", "gap", "rho2", "rho_t2", "w")}
+    kept = {name: getattr(ev, name).copy() for name in ("vel", "press", "slope", "gap", "rho2", "source")}
     other = evaluate(grid, on_sphere(grid, 13), -0.2)
     for name, before in kept.items():
         assert np.array_equal(getattr(ev, name), before), name
