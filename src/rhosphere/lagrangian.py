@@ -187,7 +187,7 @@ def _antiderivative_pair(grid, rho, rho_t, mu):
     transform pair, into the grid's work rows; returns (alpha, flux,
     offset).  p_tilde is not anchored at 0, since the kernel sees P only
     through differences P(x) - P(y).  No validation."""
-    rho2, rho_rho_t, _, vel, _, ramp, *_, src, anti, _ = grid._field_rows
+    rho2, rho_rho_t, _, vel, _, ramp, _, _, _, src, anti, _ = grid._field_rows
     np.multiply(rho, rho, out=rho2)
     np.multiply(rho, rho_t, out=rho_rho_t)
     # the zero mode carries the means alpha and flux, and _pair_inv_ik
@@ -210,7 +210,7 @@ def _antiderivative_pair(grid, rho, rho_t, mu):
 def _source_rows(grid, rho_t, vel):
     """vel^2, rho_t^2 and w = rho^2 vel^2 + 2 rho_t^2 into their work rows,
     from the rho^2 that `_antiderivative_pair` left."""
-    rho2, _, _, _, _, vel2, w, rho_t2, *_ = grid._field_rows
+    rho2, _, _, _, _, vel2, w, rho_t2, _, _, _, _ = grid._field_rows
     np.multiply(vel, vel, out=vel2)
     np.multiply(rho_t, rho_t, out=rho_t2)
     np.multiply(rho2, vel2, out=w)
@@ -231,7 +231,7 @@ def _kernel(grid, alpha, mode):
     full-period integrals.  ea is the P row, and eb the row that the fast
     route first holds e^{pt} in.
     """
-    _, _, p_tilde, _, p, _, w, _, eb, *_ = grid._field_rows
+    _, _, p_tilde, _, p, _, w, _, eb, _, _, _ = grid._field_rows
     np.multiply(grid.x, alpha, out=p)
     p += p_tilde
     gp = np.exp(p, out=p)
@@ -350,7 +350,7 @@ def _rhs_arrays(grid, rho, rho_t, mu, out):
     overwrites.
     """
     alpha, flux, offset = _antiderivative_pair(grid, rho, rho_t, mu)
-    rho2, _, _, vel, _, vel2, *_, source = grid._field_rows
+    rho2, _, _, vel, _, vel2, _, _, _, _, _, source = grid._field_rows
     _source_rows(grid, rho_t, vel)
     press = _press(*_kernel(grid, alpha, "fast"))
     gap = np.subtract(vel2, press, out=vel2)
