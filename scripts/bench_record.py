@@ -16,8 +16,11 @@ end-to-end metric: both medians, the baseline's interquartile range, the
 ratio of the medians, the number of pairs the change won and whether the
 gain rule holds.  Each run also records the host's steal share over it,
 the share of all CPU time in /proc/stat that the hypervisor gave to other
-guests, and the summary gives each side's median, so that a record shows
-when one side ran in a spell of contention.  The gain rule: the change won at least 9 of 10 pairs,
+guests, and its run-delay share, the time /proc/<pid>/schedstat says the
+perfbench process was runnable but waiting for a CPU over the run's wall
+time, which also sees contention the steal share misses.  The summary
+gives each side's median of both, so that a record shows when one side
+ran in a spell of contention.  The gain rule: the change won at least 9 of 10 pairs,
 and its median is better than the baseline's by more than the baseline's
 interquartile range.
 
@@ -30,9 +33,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
+import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -67,24 +73,48 @@ def cpu_times() -> tuple[int, int] | None:
     return fields[7], sum(fields)
 
 
+def run_delay_ns(pid: int) -> int | None:
+    """The run-delay field of /proc/<pid>/schedstat, the nanoseconds the
+    process's main thread was runnable but not running; None where there
+    is no such file."""
+    try:
+        with open(f"/proc/{pid}/schedstat", encoding="ascii") as f:
+            return int(f.read().split()[1])
+    except (OSError, ValueError, IndexError):
+        return None
+
+
 def run_one(checkout: Path, workload: str, trace: int, seed: int = SEED) -> tuple[dict, dict]:
     """(record, result) of one perfbench run in `checkout`; the result
-    gains the steal share over the run, or None where it is unknown."""
+    gains the steal share and the run-delay share over the run, each None
+    where it is unknown.  The run delay is read after the child exits and
+    before it is reaped, while its /proc entry still holds the figure."""
+    argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+            "--seconds", str(SECONDS), "--trace", str(trace)]
     before = cpu_times()
-    done = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(SECONDS), "--trace", str(trace)],
-        cwd=checkout, capture_output=True, text=True, check=True)
-    after = cpu_times()
-    lines = done.stdout.strip().splitlines()
+    with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
+        start = time.perf_counter()
+        child = subprocess.Popen(argv, cwd=checkout, stdout=out, stderr=err)
+        os.waitid(os.P_PID, child.pid, os.WEXITED | os.WNOWAIT)
+        wall = time.perf_counter() - start
+        delay = run_delay_ns(child.pid)
+        child.returncode = os.waitstatus_to_exitcode(os.wait4(child.pid, 0)[1])
+        after = cpu_times()
+        out.seek(0)
+        err.seek(0)
+        stdout, stderr = out.read().decode(), err.read().decode()
+    if child.returncode:
+        raise subprocess.CalledProcessError(child.returncode, argv, stdout, stderr)
+    lines = stdout.strip().splitlines()
     record, result = json.loads(lines[-2]), json.loads(lines[-1])
     total = after[1] - before[1] if before and after else 0
     result["steal_share"] = (after[0] - before[0]) / total if total > 0 else None
+    result["run_delay_share"] = delay / 1e9 / wall if delay is not None else None
     return record, result
 
 
-def median_steal(runs: list[dict]) -> float | None:
-    shares = [r["steal_share"] for r in runs if r.get("steal_share") is not None]
+def median_of(runs: list[dict], key: str) -> float | None:
+    shares = [r[key] for r in runs if r.get(key) is not None]
     return statistics.median(shares) if shares else None
 
 
@@ -92,8 +122,8 @@ def summary(change: list[dict], baseline: list[dict]) -> dict:
     """Per end-to-end metric: medians, the baseline's interquartile range,
     the ratio of the medians, the pairs the change won and whether the
     gain rule holds: at least 9 of 10 pairs won, and the median better by
-    more than the baseline's interquartile range.  Under "steal_share",
-    each side's median steal share."""
+    more than the baseline's interquartile range.  Under "steal_share" and
+    "run_delay_share", each side's median of that share."""
     lower = {m["name"]: m["better"] == "lower" for m in BENCHMARK["end_to_end"]}
     out = {}
     for metric, is_lower in lower.items():
@@ -107,7 +137,8 @@ def summary(change: list[dict], baseline: list[dict]) -> dict:
                        "baseline_iqr": q3 - q1, "ratio": ch_median / base_median,
                        "change_won": f"{wins}/{len(ch)}",
                        "gain_rule_holds": 10 * wins >= 9 * len(ch) and gain > q3 - q1}
-    out["steal_share"] = {"change_median": median_steal(change), "baseline_median": median_steal(baseline)}
+    for key in ("steal_share", "run_delay_share"):
+        out[key] = {"change_median": median_of(change, key), "baseline_median": median_of(baseline, key)}
     return out
 
 

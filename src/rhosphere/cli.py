@@ -5,8 +5,12 @@ run directory, ``validate`` runs the self-check battery, ``compare`` runs
 both solvers on the same initial profile and reports the distance,
 ``sweep`` expands the Cartesian product of swept keys over a process pool.
 
-Output files are plain CSV / key = value text, floats rendered with
-repr() so that a rerun of the same configuration is byte-identical.
+Output files are plain CSV / key = value text, every float written as
+its repr() so that a rerun of the same configuration is byte-identical.
+The float blocks of series.csv and the snapshot files are formatted by
+one orjson call each, whose shortest round-trip digits are repr's; a row
+holding an entry whose layout orjson writes differently is joined from
+repr instead (see _rows).
 ``simulate`` streams its snapshots to up to one writer per CPU (and per
 snapshot) while `evolve` runs: p - 1 children forked before the run,
 each sent raw float64 messages and allowed CREDITS files in flight, with
@@ -27,7 +31,6 @@ import multiprocessing
 import os
 import platform
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from collections import deque
 from itertools import chain, product
 from pathlib import Path
@@ -63,19 +66,34 @@ def _write_lines(path: Path, lines) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
-def _floats(a: np.ndarray):
-    """A float column as strings: repr of an element of tolist() is exactly
-    what _fmt gives the float, with no Python call of ours per entry."""
-    return map(repr, a.tolist())
+def _rows(block: np.ndarray) -> list[str]:
+    """The rows of a 2-D C-contiguous float64 block as text, each the comma
+    join of its entries' repr.
+
+    One orjson call formats the whole block.  Its digits are repr's, the
+    shortest that round-trip, and so is its layout for zero and for
+    1e-4 <= |x| < 1e16.  Elsewhere it differs (0.0000123, 1e-9, 1e16 and
+    null against 1.23e-05, 1e-09, 1e+16 and nan or inf), so a row holding
+    such an entry is joined from repr instead.
+    """
+    import orjson
+
+    if not len(block):
+        return []
+    rows = orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY)[2:-2].decode().split("],[")
+    a = np.abs(block)
+    plain = ((a >= 1e-4) & (a < 1e16)) | (a == 0)
+    for i in np.flatnonzero(~plain.all(axis=1)).tolist():
+        rows[i] = ",".join(map(repr, block[i].tolist()))
+    return rows
 
 
 def _write_series(out: Path, record: SimulationRecord) -> None:
     s = record.series
-    columns = (s.t, s.energy, s.sphere_defect, s.tangency_defect,
-               s.min_rho, s.flat_measure, s.mu_check)
-    rows = map(",".join, zip(*map(_floats, columns)))
+    block = np.column_stack((s.t, s.energy, s.sphere_defect, s.tangency_defect,
+                             s.min_rho, s.flat_measure, s.mu_check))
     _write_lines(out / "series.csv",
-                 chain(["t,energy,sphere_defect,tangency_defect,min_rho,flat_measure,mu_check"], rows))
+                 chain(["t,energy,sphere_defect,tangency_defect,min_rho,flat_measure,mu_check"], _rows(block)))
 
 
 def _write_events(out: Path, record: SimulationRecord) -> None:
@@ -85,14 +103,13 @@ def _write_events(out: Path, record: SimulationRecord) -> None:
     _write_lines(out / "events.csv", lines)
 
 
-def _write_snapshot(snapdir: Path, grid: PeriodicGrid, mu: float, x: list[str], state: LagrangianState,
-                    step: int) -> None:
-    """Fields of the snapshot at step and its file; x is the grid's x column."""
+def _write_snapshot(snapdir: Path, grid: PeriodicGrid, mu: float, state: LagrangianState, step: int) -> None:
+    """Fields of the snapshot at step and its file."""
     fmap = flow_map(grid, state)
     vel = lagrangian_velocity(grid, state, mu)
     slopes, valid = slope_field(state)
-    columns = (state.rho, state.rho_t, fmap.knots[:grid.n], vel, slopes)
-    rows = map(",".join, zip(x, *map(_floats, columns), map("01".__getitem__, valid.tolist())))
+    block = np.column_stack((grid.x, state.rho, state.rho_t, fmap.knots[:grid.n], vel, slopes))
+    rows = map(",".join, zip(_rows(block), map("01".__getitem__, valid.tolist())))
     _write_lines(snapdir / f"snap_{step:06d}.csv", chain(["x,rho,rho_t,K,u,ux,valid_ux"], rows))
 
 
@@ -114,8 +131,7 @@ def _unpack(msg: np.ndarray) -> tuple[LagrangianState, int]:
     return LagrangianState(msg[3:3 + n], msg[3 + n:], float(msg[2]), float(msg[1])), int(msg[0])
 
 
-def _writer_child(snapdir: Path, grid: PeriodicGrid, mu: float, x: list[str], data: int, ack: int,
-                  inherited: list[int]) -> None:
+def _writer_child(snapdir: Path, grid: PeriodicGrid, mu: float, data: int, ack: int, inherited: list[int]) -> None:
     """A writer child's loop: read a message, write its file, ack one byte,
     until the parent closes the data pipe.  It first closes the parent's
     pipe ends it inherited, its siblings' too, or their data pipes would
@@ -125,7 +141,7 @@ def _writer_child(snapdir: Path, grid: PeriodicGrid, mu: float, x: list[str], da
     msg = np.empty(3 + 2 * grid.n)
     with open(data, "rb") as pipe:
         while pipe.readinto(memoryview(msg).cast("B")) == msg.nbytes:
-            _write_snapshot(snapdir, grid, mu, x, *_unpack(msg))
+            _write_snapshot(snapdir, grid, mu, *_unpack(msg))
             os.write(ack, b"\0")
     os.close(ack)
 
@@ -168,7 +184,6 @@ class _SnapshotWriters:
 
     def __init__(self, snapdir: Path, grid: PeriodicGrid, mu: float, processes: int):
         self.snapdir, self.grid, self.mu = snapdir, grid, mu
-        self.x = list(_floats(grid.x))
         self.pending = deque()
         self.pending_bytes = 0
         self.children = []
@@ -188,7 +203,7 @@ class _SnapshotWriters:
         # the fork context flushes stdout and stderr first, and the child
         # leaves through os._exit, so no buffered output is written twice
         process = multiprocessing.get_context("fork").Process(
-            target=_writer_child, args=(self.snapdir, self.grid, self.mu, self.x, data_r, ack_w, inherited),
+            target=_writer_child, args=(self.snapdir, self.grid, self.mu, data_r, ack_w, inherited),
             name=name)
         self.children.append(_Child(process, data_w, ack_r, _window(data_w, msg_bytes)))
         try:
@@ -200,7 +215,7 @@ class _SnapshotWriters:
     def __call__(self, state: LagrangianState, step: int) -> None:
         """evolve's on_snapshot: write the file, or queue it for a child."""
         if not self.children:
-            _write_snapshot(self.snapdir, self.grid, self.mu, self.x, state, step)
+            _write_snapshot(self.snapdir, self.grid, self.mu, state, step)
             return
         msg = _message(state, step)
         self.pending.append(msg)
@@ -211,7 +226,7 @@ class _SnapshotWriters:
 
     def _write_own(self, msg: np.ndarray) -> None:
         self.pending_bytes -= msg.nbytes
-        _write_snapshot(self.snapdir, self.grid, self.mu, self.x, *_unpack(msg))
+        _write_snapshot(self.snapdir, self.grid, self.mu, *_unpack(msg))
 
     def _free_child(self) -> _Child | None:
         """A live child with room for one more file; acks are read only
@@ -472,6 +487,8 @@ def run_sweep(cfg: RunConfig, out: Path, workers: int) -> int:
     # more than there are points
     workers = min(workers, len(payloads))
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_worker, payloads))
     else:

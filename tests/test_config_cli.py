@@ -3,11 +3,13 @@
 Runs main() in process with small grids so the whole file stays fast.
 """
 
+import concurrent.futures
 import contextlib
 import io
 import multiprocessing
 import os
 import re
+import struct
 import subprocess
 import sys
 import tempfile
@@ -20,6 +22,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import rhosphere.cli as cli
 from rhosphere.cli import _fmt, _simulate_to, main
@@ -196,6 +199,39 @@ def test_simulate_rerun_is_byte_identical(tmp_path):
     files = run_files(a)
     assert {"metadata.txt", "series.csv", "events.csv", "snapshots/snap_000050.csv"} <= set(files)
     assert files == run_files(b)
+
+
+# Entries where orjson's layout differs from repr's, and their neighbours.
+ROWS_EDGES = [0.0, 5e-324, np.nextafter(1e-4, 0), 1e-4, 1e-5, 1.23e-5, np.nextafter(1e-5, 0), 9.99e-5,
+              np.nextafter(1e16, 0), 1e16, 1e22, 1.5, np.nan, np.inf]
+
+
+def repr_rows(block):
+    return [",".join(map(repr, row)) for row in block.tolist()]
+
+
+_ROWS_ELEMENTS = st.one_of(
+    st.floats(width=64, allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.integers(0, 2**64 - 1).map(lambda bits: struct.unpack("<d", bits.to_bytes(8, "little"))[0]),
+    st.floats(1e-5, 1e-4, exclude_max=True),
+    st.sampled_from(ROWS_EDGES))
+
+
+@settings(max_examples=200, deadline=None)
+@given(arrays(np.float64, st.tuples(st.integers(0, 12), st.integers(1, 7)),
+              elements=st.one_of(_ROWS_ELEMENTS, _ROWS_ELEMENTS.map(lambda v: -v))))
+def test_rows_are_repr_joins(block):
+    assert cli._rows(block) == repr_rows(block)
+
+
+def test_rows_edges_and_empty_blocks():
+    edges = np.array(ROWS_EDGES)
+    edges = np.concatenate((edges, -edges, np.linspace(1e-5, 1e-4, 50, endpoint=False)))
+    for block in (edges[:, None], edges[None, :], np.tile(edges[:, None], (1, 6)),
+                  np.column_stack((edges, np.full(edges.size, 0.25)))):
+        assert cli._rows(block) == repr_rows(block)
+    assert cli._rows(np.empty((0, 6))) == []
+    assert cli._rows(np.empty((3, 0))) == ["", "", ""]
 
 
 # The per-node writers the column-wise ones replaced, kept as the reference
@@ -448,6 +484,19 @@ def test_streamed_writer_holds_at_most_the_cap(tmp_path, monkeypatch):
     assert max(b for b, _ in held) == cap
     assert sum(w for _, w in held) > 0  # written by the parent during the run
     assert run_files(tmp_path / "run") == run_files(tmp_path / "ref")
+
+
+def test_package_and_cli_import_neither_orjson_nor_the_process_pool():
+    # both cost peak memory in every process that imports the CLI; only the
+    # float writers and sweep load them
+    import rhosphere
+
+    env = dict(os.environ, PYTHONPATH=str(Path(rhosphere.__file__).parents[1]))
+    code = ("import sys, rhosphere, rhosphere.cli\n"
+            "print([m for m in ('orjson', 'concurrent.futures.process') if m in sys.modules])")
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
 
 
 def test_simulate_with_piped_stdout_prints_once(tmp_path):
@@ -970,7 +1019,7 @@ def test_sweep_pool_has_no_more_workers_than_points(tmp_path, monkeypatch):
         def map(self, fn, payloads):
             return map(fn, payloads)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
     base = "grid.n = 32\nrun.dt = 1e-3\nrun.t_end = 0.005\n"
     two = write_cfg(tmp_path, base + "sweep.initial.amplitude = 0.5 1.0\n", name="two.cfg")
     assert main(["sweep", "--config", str(two), "--out", str(tmp_path / "two"), "--workers", "100000"]) == 0
