@@ -20,9 +20,12 @@ guests, and its run-delay share, the time /proc/<pid>/schedstat says the
 perfbench process was runnable but waiting for a CPU over the run's wall
 time, which also sees contention the steal share misses.  The summary
 gives each side's median of both, so that a record shows when one side
-ran in a spell of contention.  The gain rule: the change won at least 9 of 10 pairs,
-and its median is better than the baseline's by more than the baseline's
-interquartile range.
+ran in a spell of contention.  Each run records too its CPU seconds per
+job: the user and system time of the perfbench process and of every
+descendant it waited for, snapshot writers and sweep workers included,
+over the run's jobs; the summary gives each side's median.  The gain
+rule: the change won at least 9 of 10 pairs, and its median is better
+than the baseline's by more than the baseline's interquartile range.
 
 With `--held-out SEED` the runs use that seed instead, only at `--trace 0`,
 and go under the key "held_out" of the existing BENCH_<pr>.json, so that a
@@ -87,8 +90,10 @@ def run_delay_ns(pid: int) -> int | None:
 def run_one(checkout: Path, workload: str, trace: int, seed: int = SEED) -> tuple[dict, dict]:
     """(record, result) of one perfbench run in `checkout`; the result
     gains the steal share and the run-delay share over the run, each None
-    where it is unknown.  The run delay is read after the child exits and
-    before it is reaped, while its /proc entry still holds the figure."""
+    where it is unknown, and the CPU seconds per job, None for a run of no
+    jobs.  The run delay is read after the child exits and before it is
+    reaped, while its /proc entry still holds the figure; the CPU time is
+    the rusage of reaping it, which holds its waited-for descendants'."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", str(SECONDS), "--trace", str(trace)]
     before = cpu_times()
@@ -98,7 +103,8 @@ def run_one(checkout: Path, workload: str, trace: int, seed: int = SEED) -> tupl
         os.waitid(os.P_PID, child.pid, os.WEXITED | os.WNOWAIT)
         wall = time.perf_counter() - start
         delay = run_delay_ns(child.pid)
-        child.returncode = os.waitstatus_to_exitcode(os.wait4(child.pid, 0)[1])
+        _, status, usage = os.wait4(child.pid, 0)
+        child.returncode = os.waitstatus_to_exitcode(status)
         after = cpu_times()
         out.seek(0)
         err.seek(0)
@@ -110,6 +116,8 @@ def run_one(checkout: Path, workload: str, trace: int, seed: int = SEED) -> tupl
     total = after[1] - before[1] if before and after else 0
     result["steal_share"] = (after[0] - before[0]) / total if total > 0 else None
     result["run_delay_share"] = delay / 1e9 / wall if delay is not None else None
+    cpu_s = usage.ru_utime + usage.ru_stime
+    result["cpu_s_per_job"] = cpu_s / record["jobs"] if record["jobs"] else None
     return record, result
 
 
@@ -122,8 +130,9 @@ def summary(change: list[dict], baseline: list[dict]) -> dict:
     """Per end-to-end metric: medians, the baseline's interquartile range,
     the ratio of the medians, the pairs the change won and whether the
     gain rule holds: at least 9 of 10 pairs won, and the median better by
-    more than the baseline's interquartile range.  Under "steal_share" and
-    "run_delay_share", each side's median of that share."""
+    more than the baseline's interquartile range.  Under "steal_share",
+    "run_delay_share" and "cpu_s_per_job", each side's median of that
+    figure."""
     lower = {m["name"]: m["better"] == "lower" for m in BENCHMARK["end_to_end"]}
     out = {}
     for metric, is_lower in lower.items():
@@ -137,7 +146,7 @@ def summary(change: list[dict], baseline: list[dict]) -> dict:
                        "baseline_iqr": q3 - q1, "ratio": ch_median / base_median,
                        "change_won": f"{wins}/{len(ch)}",
                        "gain_rule_holds": 10 * wins >= 9 * len(ch) and gain > q3 - q1}
-    for key in ("steal_share", "run_delay_share"):
+    for key in ("steal_share", "run_delay_share", "cpu_s_per_job"):
         out[key] = {"change_median": median_of(change, key), "baseline_median": median_of(baseline, key)}
     return out
 

@@ -8,9 +8,9 @@ both solvers on the same initial profile and reports the distance,
 Output files are plain CSV / key = value text, every float written as
 its repr() so that a rerun of the same configuration is byte-identical.
 The float blocks of series.csv and the snapshot files are formatted by
-one orjson call each, whose shortest round-trip digits are repr's; a row
-holding an entry whose layout orjson writes differently is joined from
-repr instead (see _rows).
+one orjson call each, whose shortest round-trip digits are repr's; an
+entry whose layout orjson writes differently takes its repr instead (see
+_rows).
 ``simulate`` streams its snapshots to up to one writer per CPU (and per
 snapshot) while `evolve` runs: p - 1 children forked before the run,
 each sent raw float64 messages and allowed CREDITS files in flight, with
@@ -27,7 +27,6 @@ early (non-finite step or reference-solver blowup), 3 validation failure.
 from __future__ import annotations
 
 import argparse
-import multiprocessing
 import os
 import platform
 import sys
@@ -38,7 +37,6 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from ._parallel import _cpu_count, _cpus
 from .config import DEFAULTS, ConfigError, RunConfig, parse_config
 from .grid import PeriodicGrid
 from .integrate import SimulationRecord, StepFailure, StepLimitError, default_dt, evolve, step_count
@@ -48,6 +46,19 @@ from .oracle import eulerian_evolve
 from .reconstruct import flow_map, slope_field
 from .scenarios import initial_state, make_initial
 from .validate import full_validation
+
+
+def _cpu_count() -> int:
+    """The CPUs this process may run on."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _cpus() -> int:
+    """Processes work may be spread over: the CPUs this process may run
+    on, or 1 where processes cannot be forked."""
+    import multiprocessing
+
+    return _cpu_count() if "fork" in multiprocessing.get_all_start_methods() else 1
 
 
 def _fmt(x) -> str:
@@ -73,8 +84,8 @@ def _rows(block: np.ndarray) -> list[str]:
     One orjson call formats the whole block.  Its digits are repr's, the
     shortest that round-trip, and so is its layout for zero and for
     1e-4 <= |x| < 1e16.  Elsewhere it differs (0.0000123, 1e-9, 1e16 and
-    null against 1.23e-05, 1e-09, 1e+16 and nan or inf), so a row holding
-    such an entry is joined from repr instead.
+    null against 1.23e-05, 1e-09, 1e+16 and nan or inf), so such an entry
+    takes its repr in place of orjson's text.
     """
     import orjson
 
@@ -84,7 +95,8 @@ def _rows(block: np.ndarray) -> list[str]:
     a = np.abs(block)
     plain = ((a >= 1e-4) & (a < 1e16)) | (a == 0)
     for i in np.flatnonzero(~plain.all(axis=1)).tolist():
-        rows[i] = ",".join(map(repr, block[i].tolist()))
+        rows[i] = ",".join([p if ok else repr(x) for p, ok, x in
+                            zip(rows[i].split(","), plain[i].tolist(), block[i].tolist())])
     return rows
 
 
@@ -196,6 +208,8 @@ class _SnapshotWriters:
             raise
 
     def _fork(self, name: str, msg_bytes: int) -> None:
+        import multiprocessing
+
         data_r, data_w = os.pipe()
         ack_r, ack_w = os.pipe()
         os.set_blocking(ack_r, False)

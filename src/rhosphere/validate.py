@@ -10,13 +10,6 @@ lower-bound diagnostic and the flow-map round trip.
 
 Both layers return CheckResult rows; the command-line ``validate`` prints
 them and fails the process when any row fails.
-
-``full_validation`` runs the identity suite and the envelope check in a
-forked child while this process makes the evolution suite's forward run,
-and the offset slope series in a second child while this process makes
-the time-reversal run (`_parallel.Children`).  With one CPU, no fork or
-other threads running, everything runs here instead.  The rows come back
-in the same order either way, so the output does not depend on it.
 """
 
 from __future__ import annotations
@@ -26,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._parallel import Children
 from .grid import PeriodicGrid
 from .integrate import IntegratorConfig, evolve, gronwall_check, project
 from .lagrangian import LagrangianState, apriori_bound, evaluate, kernel_fields, lagrangian_velocity
@@ -188,9 +180,7 @@ def run_evolution_checks(n: int = 64, dt: float = 1e-3, t_end: float = 0.5) -> l
     """Short smooth run: conservation, constraints, reversal, round trips.
 
     The profile deliberately has no odd symmetry, otherwise the offset
-    slope check would compare zero against zero.  The offset slope series
-    runs in a forked child beside the time-reversal run, where that can
-    help (see the module docstring).
+    slope check would compare zero against zero.
     """
     grid, state0, mu = initial_state(InitialSpec(
         kind="fourier", n=n, mean=0.05, cos_coeffs=(0.2, 0.05), sin_coeffs=(0.15,)))
@@ -211,10 +201,7 @@ def run_evolution_checks(n: int = 64, dt: float = 1e-3, t_end: float = 0.5) -> l
     # reversal: negate rho_t and the mean, march the same horizon back
     final = rec.snapshots[-1]
     back0 = LagrangianState(final.rho, -final.rho_t, final.k0, 0.0)
-    with Children() as children:
-        slope_check = children.start("offset slope series", _offset_slope_check, grid, rec, mu, dt)
-        rec_b = evolve(grid, back0, -mu, IntegratorConfig(dt=dt, t_end=t_end, snapshot_stride=10**9))
-        slope_result = slope_check()
+    rec_b = evolve(grid, back0, -mu, IntegratorConfig(dt=dt, t_end=t_end, snapshot_stride=10**9))
     back = rec_b.snapshots[-1]
     rev = max(
         float(np.max(np.abs(back.rho - state0.rho))),
@@ -222,7 +209,7 @@ def run_evolution_checks(n: int = 64, dt: float = 1e-3, t_end: float = 0.5) -> l
         abs(back.k0 - state0.k0),
     )
     out.append(_result("time_reversal", rev, 1e-9, f"dt={dt:g}, t={t_end:g}"))
-    out.append(slope_result)
+    out.append(_offset_slope_check(grid, rec, mu, dt))
 
     fmap = flow_map(grid, final)
     xs = np.linspace(-0.3, 1.7, 401)
@@ -234,17 +221,9 @@ def run_evolution_checks(n: int = 64, dt: float = 1e-3, t_end: float = 0.5) -> l
     return out
 
 
-def _identity_checks(n: int, seed: int, n_states: int, flip_h_sign: bool) -> list[CheckResult]:
-    return [*run_identity_suite(n=n, seed=seed, n_states=n_states, flip_h_sign=flip_h_sign),
-            run_envelope_check()]
-
-
 def full_validation(n: int = 128, seed: int = 2026, n_states: int = 100,
                     flip_h_sign: bool = False) -> list[CheckResult]:
     """The identity suite, the envelope check and the evolution checks, in
-    that order, the first two and the offset slope series in forked
-    children where that can help (see the module docstring)."""
-    with Children() as children:
-        identities = children.start("identity suite", _identity_checks, n, seed, n_states, flip_h_sign)
-        evolution = run_evolution_checks()
-        return identities() + evolution
+    that order."""
+    return [*run_identity_suite(n=n, seed=seed, n_states=n_states, flip_h_sign=flip_h_sign),
+            run_envelope_check(), *run_evolution_checks()]

@@ -487,13 +487,13 @@ def test_streamed_writer_holds_at_most_the_cap(tmp_path, monkeypatch):
 
 
 def test_package_and_cli_import_neither_orjson_nor_the_process_pool():
-    # both cost peak memory in every process that imports the CLI; only the
-    # float writers and sweep load them
+    # each costs peak memory in every process that imports the CLI; only the
+    # float writers, a run that forks and sweep load them
     import rhosphere
 
     env = dict(os.environ, PYTHONPATH=str(Path(rhosphere.__file__).parents[1]))
     code = ("import sys, rhosphere, rhosphere.cli\n"
-            "print([m for m in ('orjson', 'concurrent.futures.process') if m in sys.modules])")
+            "print([m for m in ('orjson', 'concurrent.futures.process', 'multiprocessing') if m in sys.modules])")
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "[]\n"

@@ -1,9 +1,7 @@
 import ast
 import importlib
 import inspect
-import multiprocessing
 import os
-import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +10,7 @@ import numpy as np
 import pytest
 
 import rhosphere
-from rhosphere import PeriodicGrid, _parallel, full_validation, validate
+from rhosphere import PeriodicGrid, full_validation
 from rhosphere.integrate import project
 from rhosphere.lagrangian import LagrangianState
 from rhosphere.validate import (derivative_tol, random_state, run_envelope_check, run_evolution_checks,
@@ -108,83 +106,14 @@ def test_derivative_tol_grows_with_n():
     assert derivative_tol(16) > 0.0
 
 
-forks = pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="no fork")
+def test_full_validation_runs_in_this_process(monkeypatch):
+    def no_fork():
+        raise AssertionError("the battery forked")
 
-
-@pytest.fixture
-def two_cpus(monkeypatch):
-    monkeypatch.setattr(_parallel, "_cpus", lambda: 2)
-
-
-@forks
-def test_battery_lines_do_not_depend_on_the_cpus(monkeypatch):
-    lines = {}
-    for cpus in (1, 2):
-        monkeypatch.setattr(_parallel, "_cpus", lambda cpus=cpus: cpus)
-        lines[cpus] = [r.line() for r in full_validation(n=32, seed=5, n_states=6)]
-        assert not multiprocessing.active_children()
-    assert lines[1] == lines[2]
-    assert len(lines[1]) == 17
-
-
-@forks
-def test_children_run_in_other_processes(two_cpus):
-    with _parallel.Children() as children:
-        pid = children.start("pid", os.getpid)
-        assert pid() != os.getpid()
-    assert not multiprocessing.active_children()
-
-
-@pytest.mark.parametrize("cpus,threads", [(1, 1), (2, 2)])
-def test_one_cpu_or_a_second_thread_runs_the_call_here(monkeypatch, cpus, threads):
-    monkeypatch.setattr(_parallel, "_cpus", lambda: cpus)
-    monkeypatch.setattr(_parallel.threading, "active_count", lambda: threads)
-    with _parallel.Children() as children:
-        assert children.start("pid", os.getpid)() == os.getpid()
-        assert not children.started
-
-
-def _raise_value_error(*args, **kwargs):
-    raise ValueError("bad state 3 of 7")
-
-
-def _die():
-    os.kill(os.getpid(), signal.SIGKILL)
-
-
-@forks
-def test_a_child_exception_is_raised_here(two_cpus):
-    with pytest.raises(ValueError, match="^bad state 3 of 7$") as info:
-        with _parallel.Children() as children:
-            children.start("raiser", _raise_value_error)()
-    # the child's traceback is the cause
-    cause = str(info.value.__cause__)
-    assert "in _raise_value_error" in cause and "in _child_main" in cause
-    assert not multiprocessing.active_children()
-
-
-@forks
-def test_a_killed_child_is_a_runtime_error(two_cpus):
-    with pytest.raises(RuntimeError, match=r"^doomed \(pid \d+\) exited with code -9 before it sent its result"):
-        with _parallel.Children() as children:
-            children.start("doomed", _die)()
-    assert not multiprocessing.active_children()
-
-
-@forks
-def test_no_child_outlives_a_failing_battery(two_cpus, monkeypatch):
-    assert not all(r.passed for r in full_validation(n=32, seed=5, n_states=4, flip_h_sign=True))
-    assert not multiprocessing.active_children()
-    # a child's exception, raised here after the evolution checks
-    monkeypatch.setattr(validate, "run_envelope_check", _raise_value_error)
-    with pytest.raises(ValueError, match="bad state"):
-        full_validation(n=32, seed=5, n_states=4)
-    assert not multiprocessing.active_children()
-    # this process raising while the identity child still runs
-    monkeypatch.setattr(validate, "evolve", _raise_value_error)
-    with pytest.raises(ValueError, match="bad state"):
-        full_validation(n=32, seed=5, n_states=4)
-    assert not multiprocessing.active_children()
+    monkeypatch.setattr(os, "fork", no_fork)
+    results = full_validation(n=32, seed=5, n_states=6)
+    assert len(results) == 17
+    assert all(r.passed for r in results)
 
 
 def test_import_leaves_multiprocessing_out():
