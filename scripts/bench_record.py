@@ -13,12 +13,13 @@ spell of the host falls on both alike.  The output holds each run's result line 
 operations), the machine (processor count, Python, numpy and BLAS, as
 perfbench records them) and, with a baseline, a summary of each
 end-to-end metric: both medians, the baseline's interquartile range, the
-ratio of the medians, the number of pairs the change won and whether the
-gain rule holds.  Each run also records the host's steal share over it,
-the share of all CPU time in /proc/stat that the hypervisor gave to other
-guests, and its run-delay share, the time /proc/<pid>/schedstat says the
-perfbench process was runnable but waiting for a CPU over the run's wall
-time, which also sees contention the steal share misses.  The summary
+ratio of the medians, the number of pairs the change won, whether the
+gain rule holds and whether the change is within the metric's bound.
+Each run also records the host's steal share over it, the share of all
+CPU time in /proc/stat that the hypervisor gave to other guests, and its
+run-delay share, the time /proc/<pid>/schedstat says the perfbench
+process was runnable but waiting for a CPU over the run's wall time,
+which also sees contention the steal share misses.  The summary
 gives each side's median of both, so that a record shows when one side
 ran in a spell of contention.  Each run records too its CPU seconds per
 job: the user and system time of the perfbench process and of every
@@ -26,6 +27,9 @@ descendant it waited for, snapshot writers and sweep workers included,
 over the run's jobs; the summary gives each side's median.  The gain
 rule: the change won at least 9 of 10 pairs, and its median is better
 than the baseline's by more than the baseline's interquartile range.
+The bound rule, which a change that claims no gain must meet: the
+change's median is no worse than the baseline's by more than the
+metric's relative `bound` in BENCHMARK.json.
 
 With `--held-out SEED` the runs use that seed instead, only at `--trace 0`,
 and go under the key "held_out" of the existing BENCH_<pr>.json, so that a
@@ -128,14 +132,15 @@ def median_of(runs: list[dict], key: str) -> float | None:
 
 def summary(change: list[dict], baseline: list[dict]) -> dict:
     """Per end-to-end metric: medians, the baseline's interquartile range,
-    the ratio of the medians, the pairs the change won and whether the
-    gain rule holds: at least 9 of 10 pairs won, and the median better by
-    more than the baseline's interquartile range.  Under "steal_share",
-    "run_delay_share" and "cpu_s_per_job", each side's median of that
-    figure."""
-    lower = {m["name"]: m["better"] == "lower" for m in BENCHMARK["end_to_end"]}
+    the ratio of the medians, the pairs the change won, whether the gain
+    rule holds (at least 9 of 10 pairs won, and the median better by more
+    than the baseline's interquartile range) and whether the change is
+    within its bound (the median worse than the baseline's by at most the
+    metric's relative bound).  Under "steal_share", "run_delay_share" and
+    "cpu_s_per_job", each side's median of that figure."""
     out = {}
-    for metric, is_lower in lower.items():
+    for m in BENCHMARK["end_to_end"]:
+        metric, is_lower = m["name"], m["better"] == "lower"
         ch = [r["metrics"][metric]["value"] for r in change]
         base = [r["metrics"][metric]["value"] for r in baseline]
         q1, _, q3 = statistics.quantiles(base, n=4) if len(base) > 1 else (base[0], None, base[0])
@@ -145,7 +150,8 @@ def summary(change: list[dict], baseline: list[dict]) -> dict:
         out[metric] = {"change_median": ch_median, "baseline_median": base_median,
                        "baseline_iqr": q3 - q1, "ratio": ch_median / base_median,
                        "change_won": f"{wins}/{len(ch)}",
-                       "gain_rule_holds": 10 * wins >= 9 * len(ch) and gain > q3 - q1}
+                       "gain_rule_holds": 10 * wins >= 9 * len(ch) and gain > q3 - q1,
+                       "within_bound": -gain <= m["bound"] * base_median}
     for key in ("steal_share", "run_delay_share", "cpu_s_per_job"):
         out[key] = {"change_median": median_of(change, key), "baseline_median": median_of(baseline, key)}
     return out

@@ -11,14 +11,15 @@ The float blocks of series.csv and the snapshot files are formatted by
 one orjson call each, whose shortest round-trip digits are repr's; an
 entry whose layout orjson writes differently takes its repr instead (see
 _rows).
-``simulate`` streams its snapshots to up to one writer per CPU (and per
-snapshot) while `evolve` runs: p - 1 children forked before the run,
-each sent raw float64 messages and allowed CREDITS files in flight, with
-this process holding the rest, up to PENDING_BYTES, and writing the
-oldest itself past that.  After the run this process writes series.csv
-and events.csv, then shares the snapshots still held; metadata.txt comes
-last.  With p = 1 each snapshot file is written as soon as `evolve`
-makes it.  The bytes of the run directory do not depend on p.
+``simulate`` on more than one CPU streams its snapshots to one writer
+child, forked before the run if it makes at least two, while `evolve`
+runs: the child is sent raw float64 messages and allowed CREDITS files
+in flight, with this process holding the rest, up to PENDING_BYTES, and
+writing the oldest itself past that.  After the run this process writes
+series.csv and events.csv, then shares the snapshots still held;
+metadata.txt comes last.  Without the child (one CPU, one snapshot, or
+a sweep point) each snapshot file is written as soon as `evolve` makes
+it.  The bytes of the run directory are the same either way.
 
 Exit codes: 0 success, 1 configuration problems, 2 a run that stopped
 early (non-finite step or reference-solver blowup), 3 validation failure.
@@ -48,17 +49,9 @@ from .scenarios import initial_state, make_initial
 from .validate import full_validation
 
 
-def _cpu_count() -> int:
+def _cpus() -> int:
     """The CPUs this process may run on."""
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-
-
-def _cpus() -> int:
-    """Processes work may be spread over: the CPUs this process may run
-    on, or 1 where processes cannot be forked."""
-    import multiprocessing
-
-    return _cpu_count() if "fork" in multiprocessing.get_all_start_methods() else 1
 
 
 def _fmt(x) -> str:
@@ -82,7 +75,7 @@ def _rows(block: np.ndarray) -> list[str]:
     join of its entries' repr.
 
     One orjson call formats the whole block.  Its digits are repr's, the
-    shortest that round-trip, and so is its layout for zero and for
+    shortest that round-trip, and so is its layout for |x| < 1e-9 and for
     1e-4 <= |x| < 1e16.  Elsewhere it differs (0.0000123, 1e-9, 1e16 and
     null against 1.23e-05, 1e-09, 1e+16 and nan or inf), so such an entry
     takes its repr in place of orjson's text.
@@ -93,7 +86,7 @@ def _rows(block: np.ndarray) -> list[str]:
         return []
     rows = orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY)[2:-2].decode().split("],[")
     a = np.abs(block)
-    plain = ((a >= 1e-4) & (a < 1e16)) | (a == 0)
+    plain = (a < 1e-9) | ((a >= 1e-4) & (a < 1e16))
     for i in np.flatnonzero(~plain.all(axis=1)).tolist():
         rows[i] = ",".join([p if ok else repr(x) for p, ok, x in
                             zip(rows[i].split(","), plain[i].tolist(), block[i].tolist())])
@@ -125,10 +118,10 @@ def _write_snapshot(snapdir: Path, grid: PeriodicGrid, mu: float, state: Lagrang
     _write_lines(snapdir / f"snap_{step:06d}.csv", chain(["x,rho,rho_t,K,u,ux,valid_ux"], rows))
 
 
-# snapshot files a writer child may have in flight: the one it writes and
-# the next, so that it never waits for the parent to send
+# snapshot files the writer child may have in flight: the one it writes
+# and the next, so that it never waits for the parent to send
 CREDITS = 2
-# bytes of snapshot messages the parent holds for its writers; past this it
+# bytes of snapshot messages the parent holds for its child; past this it
 # writes the oldest itself, so its memory does not grow with the snapshots
 PENDING_BYTES = 32 * 2**20
 
@@ -143,34 +136,10 @@ def _unpack(msg: np.ndarray) -> tuple[LagrangianState, int]:
     return LagrangianState(msg[3:3 + n], msg[3 + n:], float(msg[2]), float(msg[1])), int(msg[0])
 
 
-def _writer_child(snapdir: Path, grid: PeriodicGrid, mu: float, data: int, ack: int, inherited: list[int]) -> None:
-    """A writer child's loop: read a message, write its file, ack one byte,
-    until the parent closes the data pipe.  It first closes the parent's
-    pipe ends it inherited, its siblings' too, or their data pipes would
-    never reach end of file."""
-    for fd in inherited:
-        os.close(fd)
-    msg = np.empty(3 + 2 * grid.n)
-    with open(data, "rb") as pipe:
-        while pipe.readinto(memoryview(msg).cast("B")) == msg.nbytes:
-            _write_snapshot(snapdir, grid, mu, *_unpack(msg))
-            os.write(ack, b"\0")
-    os.close(ack)
-
-
-class _Child:
-    """The parent's end of one writer child: its process, data pipe, ack
-    pipe, files in flight, and how many files it may have in flight."""
-
-    def __init__(self, process, data, ack, window):
-        self.process, self.data, self.ack, self.window = process, data, ack, window
-        self.in_flight = 0
-        self.alive = True
-
-
 def _window(fd: int, msg_bytes: int) -> int:
-    """Files in flight a child's data pipe can hold without a send waiting
-    on the child: CREDITS, or fewer if the pipe cannot be made that large."""
+    """Files in flight the child's data pipe can hold without a send
+    waiting on the child: CREDITS, or fewer if the pipe cannot be made that
+    large."""
     import fcntl
 
     try:
@@ -183,52 +152,62 @@ def _window(fd: int, msg_bytes: int) -> int:
 class _SnapshotWriters:
     """The snapshot files of one run, written as `evolve` makes them.
 
-    With p = 1 each call writes its file at once.  Otherwise p - 1 forked
-    children write them: each snapshot becomes a message of raw float64
-    bytes, held in a deque until a child has fewer than its window of
-    files in flight, and sent down that child's pipe; the child acks each
-    file it finishes.  Nothing is pickled.  Past PENDING_BYTES held, this
-    process writes the oldest message itself.  After the run, `drain`
-    shares what is left: the children take messages from the front, this
-    process from the back.  `close` joins every child; a child that died
-    is a RuntimeError from `check`, never an exception inside `evolve`.
+    Without a child each call writes its file at once.  With one, a forked
+    child writes them: each snapshot becomes a message of raw float64
+    bytes, held in a deque until the child has fewer than its window of
+    files in flight, and sent down its pipe; the child acks each file it
+    finishes.  Nothing is pickled.  Past PENDING_BYTES held, this process
+    writes the oldest message itself.  After the run, `drain` shares what
+    is left: the child takes messages from the front, this process from
+    the back.  `close` joins the child; a child that died is a
+    RuntimeError from `check`, never an exception inside `evolve`.
     """
 
-    def __init__(self, snapdir: Path, grid: PeriodicGrid, mu: float, processes: int):
+    def __init__(self, snapdir: Path, grid: PeriodicGrid, mu: float, fork: bool):
         self.snapdir, self.grid, self.mu = snapdir, grid, mu
         self.pending = deque()
         self.pending_bytes = 0
-        self.children = []
-        msg_bytes = 8 * (3 + 2 * grid.n)
+        self.in_flight = 0
+        self.alive = fork
+        self.process = None
+        if not fork:
+            return
+        import multiprocessing
+
+        data_r, self.data = os.pipe()
+        self.ack, ack_w = os.pipe()
+        os.set_blocking(self.ack, False)
+        self.window = _window(self.data, 8 * (3 + 2 * grid.n))
+        # the fork context flushes stdout and stderr first, and the child
+        # leaves through os._exit, so no buffered output is written twice
+        self.process = multiprocessing.get_context("fork").Process(
+            target=self._child, args=(data_r, ack_w), name="snapshot writer")
         try:
-            for r in range(1, processes):
-                self._fork(f"snapshot writer {r} of {processes}", msg_bytes)
+            self.process.start()
         except BaseException:
             self.close()
             raise
-
-    def _fork(self, name: str, msg_bytes: int) -> None:
-        import multiprocessing
-
-        data_r, data_w = os.pipe()
-        ack_r, ack_w = os.pipe()
-        os.set_blocking(ack_r, False)
-        inherited = [fd for c in self.children for fd in (c.data, c.ack)] + [data_w, ack_r]
-        # the fork context flushes stdout and stderr first, and the child
-        # leaves through os._exit, so no buffered output is written twice
-        process = multiprocessing.get_context("fork").Process(
-            target=_writer_child, args=(self.snapdir, self.grid, self.mu, data_r, ack_w, inherited),
-            name=name)
-        self.children.append(_Child(process, data_w, ack_r, _window(data_w, msg_bytes)))
-        try:
-            process.start()
         finally:
             os.close(data_r)
             os.close(ack_w)
 
+    def _child(self, data: int, ack: int) -> None:
+        """The child's loop: read a message, write its file, ack one byte,
+        until the parent closes the data pipe.  It first closes the
+        parent's pipe ends it inherited, or the data pipe would never reach
+        end of file."""
+        os.close(self.data)
+        os.close(self.ack)
+        msg = np.empty(3 + 2 * self.grid.n)
+        with open(data, "rb") as pipe:
+            while pipe.readinto(memoryview(msg).cast("B")) == msg.nbytes:
+                _write_snapshot(self.snapdir, self.grid, self.mu, *_unpack(msg))
+                os.write(ack, b"\0")
+        os.close(ack)
+
     def __call__(self, state: LagrangianState, step: int) -> None:
-        """evolve's on_snapshot: write the file, or queue it for a child."""
-        if not self.children:
+        """evolve's on_snapshot: write the file, or queue it for the child."""
+        if self.process is None:
             _write_snapshot(self.snapdir, self.grid, self.mu, state, step)
             return
         msg = _message(state, step)
@@ -242,71 +221,52 @@ class _SnapshotWriters:
         self.pending_bytes -= msg.nbytes
         _write_snapshot(self.snapdir, self.grid, self.mu, *_unpack(msg))
 
-    def _free_child(self) -> _Child | None:
-        """A live child with room for one more file; acks are read only
-        when none has room."""
-        def with_room():
-            return next((c for c in self.children if c.alive and c.in_flight < c.window), None)
-
-        child = with_room()
-        if child is None:
-            self._collect_acks()
-            child = with_room()
-        return child
-
-    def _collect_acks(self) -> None:
-        for child in self.children:
-            if child.alive and child.in_flight:
-                try:
-                    acks = os.read(child.ack, 64)
-                except BlockingIOError:
-                    continue
-                child.in_flight -= len(acks)
-                # end of file: the child is gone
-                child.alive = bool(acks)
-
     def _feed(self) -> None:
-        """Send from the front of the deque while a child has room."""
-        while self.pending and (child := self._free_child()) is not None:
-            msg = self.pending.popleft()
+        """Send from the front of the deque while the child has room; its
+        acks are read only when it has none."""
+        while self.pending and self.alive:
+            if self.in_flight == self.window:
+                try:
+                    acks = os.read(self.ack, 64)
+                except BlockingIOError:
+                    return
+                self.in_flight -= len(acks)
+                # end of file: the child is gone
+                self.alive = bool(acks)
+                continue
+            msg = self.pending[0]
             try:
                 view = memoryview(msg).cast("B")
                 while view:
-                    view = view[os.write(child.data, view):]
+                    view = view[os.write(self.data, view):]
             except BrokenPipeError:
-                child.alive = False
-                self.pending.appendleft(msg)
-                continue
+                self.alive = False
+                return
+            self.pending.popleft()
             self.pending_bytes -= msg.nbytes
-            child.in_flight += 1
+            self.in_flight += 1
 
     def drain(self) -> None:
         """Write every pending snapshot, this process from the back of the
-        deque while the children take from the front."""
+        deque while the child takes from the front."""
         while self.pending:
             self._feed()
             if self.pending:
                 self._write_own(self.pending.pop())
 
     def close(self) -> None:
-        """End of input for every child, then join them all."""
-        for child in self.children:
-            if child.data >= 0:
-                os.close(child.data)
-                child.data = -1
-        for child in self.children:
-            if child.process.pid is not None:
-                child.process.join()
-            if child.ack >= 0:
-                os.close(child.ack)
-                child.ack = -1
+        """End of input for the child, then join it."""
+        if self.process is not None:
+            os.close(self.data)
+            if self.process.pid is not None:
+                self.process.join()
+            os.close(self.ack)
 
     def check(self) -> None:
-        """A RuntimeError naming each child that exited non-zero."""
-        failed = [f"{c.process.name} (pid {c.process.pid}) exited with code {c.process.exitcode}"
-                  for c in self.children if c.process.exitcode]
-        if failed:
-            raise RuntimeError("; ".join(failed))
+        """A RuntimeError if the child exited non-zero."""
+        if self.process is not None and self.process.exitcode:
+            raise RuntimeError(f"{self.process.name} (pid {self.process.pid}) exited with code "
+                               f"{self.process.exitcode}")
 
 
 def _write_metadata(out: Path, command: str, cfg: RunConfig, record: SimulationRecord | None,
@@ -364,16 +324,16 @@ def _snapshot_count(grid, state, mu, icfg) -> int:
     return (steps - 1) // icfg.snapshot_stride + 2 if steps else 1
 
 
-def _simulate_to(cfg: RunConfig, out: Path, processes: int = 1, observe=None):
+def _simulate_to(cfg: RunConfig, out: Path, fork: bool = False, observe=None):
     """Run cfg and write its run directory, the snapshot files streamed to
-    up to `processes` processes while `evolve` runs; observe(state), when
-    given, sees each snapshot too."""
+    a writer child while `evolve` runs if `fork` and the run makes at least
+    two; observe(state), when given, sees each snapshot too."""
     grid, state, mu = _build_run(cfg)
     icfg = cfg.integrator_config()
-    processes = min(processes, _snapshot_count(grid, state, mu, icfg))
+    fork = _snapshot_count(grid, state, mu, icfg) > 1 and fork
     snapdir = out / "snapshots"
     snapdir.mkdir(parents=True, exist_ok=True)
-    writers = _SnapshotWriters(snapdir, grid, mu, processes)
+    writers = _SnapshotWriters(snapdir, grid, mu, fork)
     on_snapshot = writers
     if observe is not None:
         def on_snapshot(snapshot, step):
@@ -400,7 +360,7 @@ def _simulate_to(cfg: RunConfig, out: Path, processes: int = 1, observe=None):
 
 
 def run_simulate(cfg: RunConfig, out: Path) -> int:
-    code, _, _ = _simulate_to(cfg, out, _cpus())
+    code, _, _ = _simulate_to(cfg, out, hasattr(os, "fork") and _cpus() > 1)
     return code
 
 
@@ -478,7 +438,7 @@ def _sweep_worker(payload):
         max_slope = max(max_slope, float(np.max(np.abs(slope_field(snapshot)[0]))))
 
     # the sweep is parallel across its points already
-    code, record, _ = _simulate_to(cfg, Path(run_dir), 1, observe)
+    code, record, _ = _simulate_to(cfg, Path(run_dir), False, observe)
     drift = record.energy_drift if record.series.t.size else None
     breaking = record.events[0].time if record.events else None
     return assignment, code, breaking, drift, max_slope
@@ -527,7 +487,7 @@ def run_sweep(cfg: RunConfig, out: Path, workers: int) -> int:
 
 def _resolve_workers(arg_value) -> int:
     if arg_value is None:
-        return _cpu_count()
+        return _cpus()
     if arg_value < 1:
         raise ConfigError("worker count must be at least 1")
     return arg_value

@@ -203,6 +203,7 @@ def test_simulate_rerun_is_byte_identical(tmp_path):
 
 # Entries where orjson's layout differs from repr's, and their neighbours.
 ROWS_EDGES = [0.0, 5e-324, np.nextafter(1e-4, 0), 1e-4, 1e-5, 1.23e-5, np.nextafter(1e-5, 0), 9.99e-5,
+              1e-9, np.nextafter(1e-9, 0), np.nextafter(1e-9, np.inf), 9.9e-10, 1.5e-10, 1e-8,
               np.nextafter(1e16, 0), 1e16, 1e22, 1.5, np.nan, np.inf]
 
 
@@ -214,6 +215,7 @@ _ROWS_ELEMENTS = st.one_of(
     st.floats(width=64, allow_nan=True, allow_infinity=True, allow_subnormal=True),
     st.integers(0, 2**64 - 1).map(lambda bits: struct.unpack("<d", bits.to_bytes(8, "little"))[0]),
     st.floats(1e-5, 1e-4, exclude_max=True),
+    st.floats(1e-10, 1e-8),
     st.sampled_from(ROWS_EDGES))
 
 
@@ -315,22 +317,23 @@ def test_writers_match_per_node_reference(tmp_path, lines, expected_code):
     (["grid.n = 64", "run.dt = 10.0", "run.t_end = 50.0", "initial.kind = sine"], 2),
 ], ids=["fixed_dt", "adaptive", "early_stop"])
 def test_split_snapshot_writer_is_byte_identical(tmp_path, lines, expected_code):
+    # written in this process, and streamed to a forked child
     cfg = parse_config(write_cfg(tmp_path, "\n".join(lines)))
-    runs = {p: tmp_path / f"p{p}" for p in (1, 2, 3)}
+    runs = {fork: tmp_path / ("forked" if fork else "inline") for fork in (False, True)}
     with np.errstate(all="ignore"), contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(io.StringIO()):
-        codes = {p: _simulate_to(cfg, out, p)[0] for p, out in runs.items()}
+        codes = {fork: _simulate_to(cfg, out, fork)[0] for fork, out in runs.items()}
         _, record = library_record(cfg)
     assert set(codes.values()) == {expected_code}
     assert multiprocessing.active_children() == []
     if expected_code == 0:
-        # the writers forked are at most the snapshots a completed run makes
+        # the child is forked only for a run of at least two snapshots
         grid, state, mu = cli._build_run(cfg)
         assert cli._snapshot_count(grid, state, mu, cfg.integrator_config()) == len(record.snapshots)
-    files = run_files(runs[1])
+    files = run_files(runs[False])
     assert sorted(k for k in files if k.startswith("snapshots/")) == [
         f"snapshots/snap_{i:06d}.csv" for i in record.snapshot_steps]
-    assert files == run_files(runs[2]) == run_files(runs[3])
+    assert files == run_files(runs[True])
 
 
 def every_step_cfg(tmp_path):
@@ -350,21 +353,22 @@ def present_files_match(out, reference):
 def test_split_snapshot_writer_failures_join_every_child(tmp_path, monkeypatch, capfd):
     cfg = parse_config(every_step_cfg(tmp_path))
     with contextlib.redirect_stdout(io.StringIO()):
-        _simulate_to(cfg, tmp_path / "ref", 1)
+        _simulate_to(cfg, tmp_path / "ref")
     reference = run_files(tmp_path / "ref")
     parent = os.getpid()
     write_snapshot = cli._write_snapshot
 
-    def fails_in_children(*args):
+    def fails_in_child(*args):
         if os.getpid() != parent:
             raise OSError("disk full")
         write_snapshot(*args)
 
-    monkeypatch.setattr(cli, "_write_snapshot", fails_in_children)
-    with pytest.raises(RuntimeError, match=r"snapshot writer 1 of 3 \(pid \d+\) exited with code 1; "
-                                           r"snapshot writer 2 of 3 .* exited with code 1"):
-        _simulate_to(cfg, tmp_path / "a", 3)
-    assert capfd.readouterr().err.count("OSError: disk full") == 2
+    monkeypatch.setattr(cli, "_write_snapshot", fails_in_child)
+    with pytest.raises(RuntimeError, match=r"^snapshot writer \(pid \d+\) exited with code 1$"):
+        _simulate_to(cfg, tmp_path / "a", True)
+    err = capfd.readouterr().err
+    assert err.count("Traceback") == err.count("OSError: disk full") == 1
+    assert "BrokenPipeError" not in err
     assert multiprocessing.active_children() == []
     assert not (tmp_path / "a" / "metadata.txt").exists()
     present_files_match(tmp_path / "a", reference)
@@ -373,7 +377,7 @@ def test_split_snapshot_writer_failures_join_every_child(tmp_path, monkeypatch, 
     monkeypatch.setattr(cli, "_write_snapshot", write_snapshot)
     monkeypatch.setattr(cli, "_write_events", lambda out, record: 1 / 0)
     with pytest.raises(ZeroDivisionError):
-        _simulate_to(cfg, tmp_path / "b", 3)
+        _simulate_to(cfg, tmp_path / "b", True)
     assert multiprocessing.active_children() == []
     present_files_match(tmp_path / "b", reference)
     assert not (tmp_path / "b" / "metadata.txt").exists()
@@ -388,7 +392,7 @@ def test_split_snapshot_writer_failures_join_every_child(tmp_path, monkeypatch, 
 
     monkeypatch.setattr(cli, "evolve", evolve_fails)
     with pytest.raises(KeyboardInterrupt):
-        _simulate_to(cfg, tmp_path / "c", 3)
+        _simulate_to(cfg, tmp_path / "c", True)
     assert multiprocessing.active_children() == []
     assert present_files_match(tmp_path / "c", reference) <= 10
     assert not (tmp_path / "c" / "series.csv").exists()
@@ -408,14 +412,14 @@ written = 0
 def fails_on_kth(*args):
     global written
     written += 1
-    if multiprocessing.current_process().name == "snapshot writer 1 of 3" and written == int(sys.argv[3]):
+    if multiprocessing.current_process().name == "snapshot writer" and written == int(sys.argv[3]):
         raise OSError("disk full")
     write_snapshot(*args)
 
 
 cli._write_snapshot = fails_on_kth
 try:
-    cli._simulate_to(parse_config(sys.argv[1]), Path(sys.argv[2]), 3)
+    cli._simulate_to(parse_config(sys.argv[1]), Path(sys.argv[2]), True)
 except RuntimeError as exc:
     print(f"RuntimeError: {exc}")
 print(f"active children: {multiprocessing.active_children()}")
@@ -423,12 +427,12 @@ print(f"active children: {multiprocessing.active_children()}")
 
 
 def test_writer_child_failing_mid_run(tmp_path):
-    # 501 snapshots; writer 1 fails on its 5th file while the run goes on,
+    # 501 snapshots; the child fails on its 5th file while the run goes on,
     # so the parent's later sends to it meet a closed pipe
     cfg = write_cfg(tmp_path, simulate_cfg(tmp_path).read_text()
                     + "\nrun.t_end = 0.5\nrun.snapshot_stride = 1\n", name="long.cfg")
     with contextlib.redirect_stdout(io.StringIO()):
-        _simulate_to(parse_config(cfg), tmp_path / "ref", 1)
+        _simulate_to(parse_config(cfg), tmp_path / "ref")
     script = write_cfg(tmp_path, FAILING_CHILD, name="failing_child.py")
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
     done = subprocess.run([sys.executable, str(script), str(cfg), str(tmp_path / "run"), "5"],
@@ -437,7 +441,7 @@ def test_writer_child_failing_mid_run(tmp_path):
     assert done.stdout.splitlines() == [
         line for line in done.stdout.splitlines() if line.startswith(("RuntimeError", "active"))]
     error, active = done.stdout.splitlines()
-    assert re.fullmatch(r"RuntimeError: snapshot writer 1 of 3 \(pid \d+\) exited with code 1", error)
+    assert re.fullmatch(r"RuntimeError: snapshot writer \(pid \d+\) exited with code 1", error)
     assert active == "active children: []"
     # the child's own traceback, and nothing from inside evolve
     assert done.stderr.count("Traceback") == 1
@@ -448,18 +452,18 @@ def test_writer_child_failing_mid_run(tmp_path):
 
 
 def test_streamed_writer_holds_at_most_the_cap(tmp_path, monkeypatch):
-    # slow children and a cap of two messages: the parent must write the
+    # a slow child and a cap of two messages: the parent must write the
     # oldest pending snapshots itself while evolve runs
     cfg = parse_config(every_step_cfg(tmp_path))
     with contextlib.redirect_stdout(io.StringIO()):
-        _simulate_to(cfg, tmp_path / "ref", 1)
+        _simulate_to(cfg, tmp_path / "ref")
     cap = 2 * 8 * (3 + 2 * 64)
     monkeypatch.setattr(cli, "PENDING_BYTES", cap)
     parent = os.getpid()
     write_snapshot = cli._write_snapshot
     own = []
 
-    def slow_in_children(*args):
+    def slow_in_child(*args):
         if os.getpid() == parent:
             own.append(args[-1])
         else:
@@ -475,15 +479,33 @@ def test_streamed_writer_holds_at_most_the_cap(tmp_path, monkeypatch):
         assert self.pending_bytes == sum(m.nbytes for m in self.pending) <= cap
         held.append((self.pending_bytes, len(own) - written))
 
-    monkeypatch.setattr(cli, "_write_snapshot", slow_in_children)
+    monkeypatch.setattr(cli, "_write_snapshot", slow_in_child)
     monkeypatch.setattr(cli._SnapshotWriters, "__call__", checked_put)
     with contextlib.redirect_stdout(io.StringIO()):
-        assert _simulate_to(cfg, tmp_path / "run", 3)[0] == 0
+        assert _simulate_to(cfg, tmp_path / "run", True)[0] == 0
     assert multiprocessing.active_children() == []
     assert len(held) == 51
     assert max(b for b, _ in held) == cap
     assert sum(w for _, w in held) > 0  # written by the parent during the run
     assert run_files(tmp_path / "run") == run_files(tmp_path / "ref")
+
+
+def test_simulate_forks_one_writer_whatever_the_cpus(tmp_path, monkeypatch):
+    # a host with 8 CPUs this process may run on, and 51 snapshots
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+    fork = os.fork
+    forks = []
+
+    def counted_fork():
+        forks.append(None)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["simulate", "--config", str(every_step_cfg(tmp_path)), "--out", str(tmp_path / "run")]) == 0
+    assert len(forks) == 1
+    assert multiprocessing.active_children() == []
+    assert len(list((tmp_path / "run" / "snapshots").iterdir())) == 51
 
 
 def test_package_and_cli_import_neither_orjson_nor_the_process_pool():

@@ -139,11 +139,11 @@ def test_state_at_does_not_depend_on_the_snapshot_stride(great_circle):
 
 
 def test_streamed_snapshot_files_follow_the_great_circle(great_circle, tmp_path):
-    # two processes: the writer child is forked with the field replaced
+    # the writer child is forked with the field replaced
     _, _, _, _, exact, _ = great_circle
     cfg = RunConfig({"grid.n": N, "initial.kind": "sine", "run.t_end": T_END})
     with contextlib.redirect_stdout(io.StringIO()):
-        code, record, _ = _simulate_to(cfg, tmp_path / "run", 2)
+        code, record, _ = _simulate_to(cfg, tmp_path / "run", True)
     assert code == 0 and record.snapshots == []
     files = sorted((tmp_path / "run" / "snapshots").glob("snap_*.csv"))
     assert len(files) == 71  # every 100th point of the default_dt grid, and the last
