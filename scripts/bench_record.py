@@ -29,7 +29,10 @@ rule: the change won at least 9 of 10 pairs, and its median is better
 than the baseline's by more than the baseline's interquartile range.
 The bound rule, which a change that claims no gain must meet: the
 change's median is no worse than the baseline's by more than the
-metric's relative `bound` in BENCHMARK.json.
+metric's relative `bound` in BENCHMARK.json.  A metric is unresolved
+when the baseline's interquartile range exceeds that bound times its
+median: its runs spread too widely for the bound rule to tell a
+regression from noise.
 
 With `--held-out SEED` the runs use that seed instead, only at `--trace 0`,
 and go under the key "held_out" of the existing BENCH_<pr>.json, so that a
@@ -136,7 +139,9 @@ def summary(change: list[dict], baseline: list[dict]) -> dict:
     rule holds (at least 9 of 10 pairs won, and the median better by more
     than the baseline's interquartile range) and whether the change is
     within its bound (the median worse than the baseline's by at most the
-    metric's relative bound).  Under "steal_share", "run_delay_share" and
+    metric's relative bound), and whether it is unresolved (the
+    baseline's interquartile range above the bound times its median).
+    Under "steal_share", "run_delay_share" and
     "cpu_s_per_job", each side's median of that figure."""
     out = {}
     for m in BENCHMARK["end_to_end"]:
@@ -151,7 +156,8 @@ def summary(change: list[dict], baseline: list[dict]) -> dict:
                        "baseline_iqr": q3 - q1, "ratio": ch_median / base_median,
                        "change_won": f"{wins}/{len(ch)}",
                        "gain_rule_holds": 10 * wins >= 9 * len(ch) and gain > q3 - q1,
-                       "within_bound": -gain <= m["bound"] * base_median}
+                       "within_bound": -gain <= m["bound"] * base_median,
+                       "unresolved": q3 - q1 > m["bound"] * base_median}
     for key in ("steal_share", "run_delay_share", "cpu_s_per_job"):
         out[key] = {"change_median": median_of(change, key), "baseline_median": median_of(baseline, key)}
     return out

@@ -45,7 +45,6 @@ SCHEMA: dict[str, object] = {
     "run.t_end": float,
     "run.projection": bool,
     "run.snapshot_stride": int,
-    "run.breaking_eps": float,
     "initial.kind": str,
     "initial.value": float,
     "initial.amplitude": float,
@@ -72,7 +71,6 @@ DEFAULTS: dict[str, object] = {
     "run.t_end": 1.0,
     "run.projection": True,
     "run.snapshot_stride": 100,
-    "run.breaking_eps": 1e-6,
     "initial.kind": "sine",
     "initial.value": 0.0,
     "initial.amplitude": 1.0,
@@ -196,7 +194,6 @@ class RunConfig:
             t_end=t_end,
             projection=bool(self.get("run.projection")),
             snapshot_stride=stride,
-            breaking_eps=self._float("run.breaking_eps", 0.0),
         )
 
     def compare_args(self) -> dict[str, object]:

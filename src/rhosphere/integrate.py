@@ -7,7 +7,9 @@ Hairer, Lubich & Wanner, Geometric Numerical Integration, IV.4).  Each
 accepted step also records a diagnostics row (energy, constraint defects,
 minimum of rho, flat-set measure, mean-velocity check) plus the minimum of
 rho^2 + rho_t^2 and the field gap max|vel^2 - press| used by the
-lower-bound diagnostic.
+lower-bound diagnostic.  The flat-set measure is the share of labels in
+`lagrangian.flat_set`, the labels the flow map collapses and whose
+slope a snapshot marks invalid.
 
 Two steppers feed one recording loop.  With dt given, step i is one
 classical RK4 step ending at i dt, the last one at t_end.  With dt unset,
@@ -62,7 +64,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grid import PeriodicGrid
-from .lagrangian import LagrangianState, _energy, _rhs_arrays, energy, evaluate
+from .lagrangian import LagrangianState, _energy, _rhs_arrays, energy, evaluate, flat_set
 
 # local error allowed per error-controlled step, relative to the state's
 # largest entry (or to 1, whichever is larger)
@@ -96,7 +98,6 @@ class IntegratorConfig:
     t_end: float = 1.0
     projection: bool = True
     snapshot_stride: int = 100
-    breaking_eps: float = 1e-6
 
 
 @dataclass
@@ -492,7 +493,7 @@ class _Rows:
         return TimeSeries(*self.cols[:, :k], self.argmin[:k])
 
 
-def _diagnostics_row(grid, state, ev, eps, ws):
+def _diagnostics_row(grid, state, ev, ws):
     # every entry comes from fields the evaluation at this state formed;
     # the energy is `energy`'s own sum of the evaluation's (w, rho_t^2)
     inv_n = grid._inv_n
@@ -503,7 +504,7 @@ def _diagnostics_row(grid, state, ev, eps, ws):
         abs(ev.alpha - 1.0),
         abs(0.5 * ev.flux),
         float(state.rho[amin]),
-        np.count_nonzero(np.less(ev.rho2, eps * eps, out=ws.below)) * inv_n,
+        np.count_nonzero(flat_set(ev.rho2, out=ws.below)) * inv_n,
         float(np.dot(ev.vel, ev.rho2)) * inv_n,
         float(_at_argmin(np.add(ev.rho2, ev.source[1], out=scratch))),
         float(_at_argmax(np.abs(ev.gap, out=scratch))),
@@ -540,7 +541,7 @@ def evolve(grid: PeriodicGrid, state: LagrangianState, mu: float, cfg: Integrato
             record.snapshot_steps.append(step)
     rows = _Rows(64 if adaptive else steps + 1)
     ws = _Workspace(grid.n, adaptive)
-    row = _diagnostics_row(grid, state, ev, cfg.breaking_eps, ws)
+    row = _diagnostics_row(grid, state, ev, ws)
     rows.add(0.0, row)
     on_snapshot(state, 0)
     positive = state.rho > 0.0
@@ -558,7 +559,7 @@ def evolve(grid: PeriodicGrid, state: LagrangianState, mu: float, cfg: Integrato
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         try:
             for new, new_ev in stepper:
-                row = _diagnostics_row(grid, new, new_ev, cfg.breaking_eps, ws)
+                row = _diagnostics_row(grid, new, new_ev, ws)
                 rows.add(new.t, row)
 
                 now_positive = new.rho > 0.0

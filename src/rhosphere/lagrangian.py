@@ -56,6 +56,12 @@ grid's work rows, and the right-hand side, `lagrangian_velocity`,
 `kernel_fields`, `pressure` and `energy` all read them, so each gives the
 integrator's own numbers bit for bit.  Both kernel modes take pt from the
 pair; the direct mode's own DFT checks the fast prefix assembly.
+
+Wave breaking is rho passing through zero.  The flat set, the labels where
+rho^2 sits under FLAT_EPS_REL of its largest value, is where the Eulerian
+slope blows up.  `flat_set` is the one rule that decides it: the
+integrator's flat_measure series, the flow map's flat intervals and the
+slope's validity flags in `reconstruct` all read it.
 """
 
 from __future__ import annotations
@@ -74,6 +80,9 @@ _SQRT_E = float(np.exp(0.5))
 # |quad(2 rho rho_t)| above this, relative to max(1, max|2 rho rho_t|) as
 # the lift in `scenarios` scales it, makes vel fail to close up over the period
 TANGENCY_WARN = 1e-8
+
+# a label is flat where rho^2 is under this share of its largest value
+FLAT_EPS_REL = 1e-8
 
 H_CONVENTION_NOTE = (
     "pressure_gradient subtracts the far-side lobe of the odd kernel, "
@@ -104,6 +113,13 @@ class LagrangianState:
 
     def copy(self) -> "LagrangianState":
         return LagrangianState(self.rho.copy(), self.rho_t.copy(), self.k0, self.t)
+
+
+def flat_set(rho2: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Mask of the labels in the flat set, rho2 < FLAT_EPS_REL * max(rho2),
+    given rho2 = rho^2; written into out when it is given.  The maximum is
+    read at argmax, the same value at a fraction of a reduction's cost."""
+    return np.less(rho2, FLAT_EPS_REL * float(rho2[rho2.argmax()]), out=out)
 
 
 def _exp_partials_fast(grid, p_tilde, alpha, w, et):

@@ -3,8 +3,10 @@
 The solver state lives on labels x in [0, 1); the physical point carrying
 label x is K(x) = k0 + integral of rho^2 from 0 to x.  K is monotone
 (rho^2 >= 0) but can have flat intervals where rho vanishes, which is
-exactly where the Eulerian slope u_x blows up.  Everything in this module
-is about evaluating through, or quantifying, that degeneracy:
+exactly where the Eulerian slope u_x blows up.  A label is flat when
+`lagrangian.flat_set` says so, the one rule the integrator's flat_measure
+series reads too.  Everything in this module is about evaluating through,
+or quantifying, that degeneracy:
 
 * ``flow_map`` builds K on the nodes (trapezoid prefix sum, so the full
   period is the plain grid mean) together with the maximal flat intervals.
@@ -13,7 +15,9 @@ is about evaluating through, or quantifying, that degeneracy:
   maps to the interval midpoint.
 * ``eulerian_velocity`` samples u = vel(label) and u_x = 2 rho_t / rho at
   the preimages of a uniform Eulerian grid, clamping the slope and
-  flagging nodes where the value is not trustworthy.
+  flagging nodes where the value is not trustworthy: those whose
+  preimage cell has a flat or clamped end node, which includes every
+  point a flat interval swallows.
 * ``weak_residual`` checks the reconstructed fields against the
   divergence-form momentum balance with a smooth space-time bump: the
   nonlocal pressure is rebuilt on the physical grid by applying the
@@ -34,9 +38,8 @@ import numpy as np
 
 from .grid import PeriodicGrid
 from .integrate import _dense_state
-from .lagrangian import LagrangianState, evaluate, kernel_fields, lagrangian_velocity
+from .lagrangian import FLAT_EPS_REL, LagrangianState, evaluate, flat_set, kernel_fields, lagrangian_velocity
 
-FLAT_EPS_REL = 1e-8
 SLOPE_CLAMP = 1.0 / FLAT_EPS_REL
 
 
@@ -123,8 +126,7 @@ def flow_map(grid: PeriodicGrid, state: LagrangianState) -> FlowMap:
     wrapped = np.concatenate([rho2, rho2[:1]])
     knots = state.k0 + np.concatenate([[0.0], np.cumsum(0.5 * grid.h * (wrapped[:-1] + wrapped[1:]))])
 
-    flags = rho2 < FLAT_EPS_REL * float(rho2.max())
-    runs = _flat_runs(flags)
+    runs = _flat_runs(flat_set(rho2))
     intervals = [(a * grid.h, (a + ln - 1) * grid.h) for a, ln in runs]
     cell_mid = np.full(grid.n, np.nan)
     for a, ln in runs:
@@ -148,15 +150,15 @@ class EulerianField:
 def slope_field(state: LagrangianState) -> tuple[np.ndarray, np.ndarray]:
     """Nodal u_x along particles, 2 rho_t / rho, clamped; with validity flags.
 
-    A node is invalid where rho^2 sits under the flat threshold or the
-    ratio exceeds the clamp; the returned value there is the clamped one.
+    A node is invalid where it is in the flat set (`lagrangian.flat_set`)
+    or the ratio exceeds the clamp; the returned value there is the
+    clamped one.
     """
-    rho2 = state.rho * state.rho
     with np.errstate(divide="ignore", invalid="ignore"):
         raw = 2.0 * state.rho_t / state.rho
     raw = np.nan_to_num(raw, nan=0.0, posinf=SLOPE_CLAMP, neginf=-SLOPE_CLAMP)
     clamped = np.clip(raw, -SLOPE_CLAMP, SLOPE_CLAMP)
-    valid = (rho2 >= FLAT_EPS_REL * float(rho2.max())) & (np.abs(raw) < SLOPE_CLAMP)
+    valid = ~flat_set(state.rho * state.rho) & (np.abs(raw) < SLOPE_CLAMP)
     return clamped, valid
 
 
@@ -182,7 +184,7 @@ def eulerian_velocity(
     x = fmap.invert(y)
     u, j, jp = _interp_nodes(vel, x, grid.n)
     ux, _, _ = _interp_nodes(slopes, x, grid.n)
-    valid = node_ok[j] & node_ok[jp] & np.isnan(fmap._cell_mid[j])
+    valid = node_ok[j] & node_ok[jp]
     return EulerianField(state.t, y, u, np.clip(ux, -SLOPE_CLAMP, SLOPE_CLAMP), valid)
 
 

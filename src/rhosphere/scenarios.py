@@ -70,13 +70,22 @@ def _peakon_profile(grid, p, q1, q2, width):
 
     The raw kernel has a slope corner at each peak, so the derivative is
     taken spectrally and carries the usual Gibbs ripple near the corners.
-    A positive width smooths the profile with a periodic Gaussian filter
-    first, after which the derivative is fully resolved.
+    A positive width convolves the kernel with a periodic Gaussian, and
+    the profile is then the sum of its analytic Fourier series,
+
+        p (e^{-2 pi i k q1} - e^{-2 pi i k q2}) e^{-(2 pi k w)^2 / 2} / (1 + (2 pi k)^2),
+
+    over the grid's modes; sampling the cornered kernel first would alias
+    the corners into the data at O(n^-2).  The derivative is the spectral
+    one of these samples.
     """
-    u0 = p * (greens_function(grid.x - q1) - greens_function(grid.x - q2))
     if width > 0.0:
-        damp = np.exp(-0.5 * (2.0 * np.pi * grid.wavenumbers * width) ** 2)
-        u0 = np.fft.irfft(np.fft.rfft(u0) * damp, grid.n)
+        omega = 2.0 * np.pi * grid.wavenumbers
+        coeffs = (p * (np.exp(-1j * omega * q1) - np.exp(-1j * omega * q2))
+                  * np.exp(-0.5 * (omega * width) ** 2) / (1.0 + omega**2))
+        u0 = np.fft.irfft(grid.n * coeffs, grid.n)
+    else:
+        u0 = p * (greens_function(grid.x - q1) - greens_function(grid.x - q2))
     u0x = grid.deriv(u0)
     return u0, u0x
 

@@ -656,7 +656,7 @@ def test_simulate_requires_out(tmp_path):
     "run.dt = 1e-300",
     "run.t_end = nan",
     "run.t_end = -1",
-    "run.breaking_eps = nan",
+    "run.breaking_eps = nan",  # a retired key, unknown now
     "initial.amplitude = inf",
     "initial.mollify_width = -0.1",
     "initial.wavenumber = 0",

@@ -21,6 +21,7 @@ from rhosphere import (
 )
 from rhosphere import lagrangian
 from rhosphere.lagrangian import _antiderivative_pair, _exp_partials_direct, _source_rows, apriori_bound, evaluate, pressure
+from rhosphere.reconstruct import flow_map, slope_field
 from rhosphere.validate import random_state, run_identity_suite
 
 
@@ -307,14 +308,21 @@ def test_apriori_bound_positive_and_monotone_in_rho_t():
 
 
 def test_flat_set_measure():
-    # the flat_measure series: the share of labels with |rho| under breaking_eps
-    grid = PeriodicGrid(64)
-    rho = np.ones(64)
-    rho[10:14] = 1e-9
-    state = LagrangianState(rho, np.zeros(64), 0.0, 0.0)
-    for eps, share in ((1e-6, 4 / 64), (1e-10, 0.0)):
-        rec = evolve(grid, state, 0.0, IntegratorConfig(dt=1e-3, t_end=0.0, breaking_eps=eps))
-        assert rec.series.flat_measure.tolist() == [share]
+    # one flat-set rule: at every step of a sine through breaking, the
+    # flat_measure series is the share of labels the flow map collapses
+    # and whose slope is marked invalid
+    grid, state, mu = initial_state(InitialSpec("sine", 256, amplitude=1.0023643249400513))
+    rec = evolve(grid, state, mu, IntegratorConfig(dt=1e-3, t_end=1.5, snapshot_stride=1))
+    assert rec.snapshot_steps == list(range(1501))
+    collapsed, invalid = [], []
+    for snap in rec.snapshots:
+        fmap = flow_map(grid, snap)
+        collapsed.append(sum(round((b - a) * grid.n) + 1 for a, b in fmap.flat_intervals) / grid.n)
+        invalid.append(np.count_nonzero(~slope_field(snap)[1]) / grid.n)
+    assert rec.series.flat_measure.tolist() == collapsed
+    # slope_field's clamp marks no node that is not flat on this run
+    assert rec.series.flat_measure.tolist() == invalid
+    assert np.count_nonzero(rec.series.flat_measure) >= 12
 
 
 @settings(max_examples=20, deadline=None)
