@@ -519,13 +519,16 @@ def evolve(grid: PeriodicGrid, state: LagrangianState, mu: float, cfg: Integrato
     Steps are fixed at cfg.dt, or error-controlled when cfg.dt is None.
     Each snapshot goes to on_snapshot(state, step) when it is given, and
     is then not kept in the record's snapshots and snapshot_steps.
-    Raises ValueError for a dt or t_end no run accepts (StepLimitError
-    when the steps or snapshot points would exceed MAX_STEPS), and
-    StepFailure (with the record so far attached) if a step goes
-    non-finite or an error-controlled step shrinks below its floor;
-    breaking is handled as a recorded event, never a failure.  numpy's
-    overflow, invalid-value and division warnings are off while it steps.
+    Raises ValueError for a dt, t_end or snapshot_stride no run accepts
+    (StepLimitError when the steps or snapshot points would exceed
+    MAX_STEPS), and StepFailure (with the record so far attached) if a
+    step goes non-finite or an error-controlled step shrinks below its
+    floor; breaking is handled as a recorded event, never a failure.
+    numpy's overflow, invalid-value and division warnings are off while
+    it steps.
     """
+    if cfg.snapshot_stride < 1:
+        raise ValueError(f"snapshot_stride must be >= 1, got {cfg.snapshot_stride!r}")
     heuristic = default_dt(grid, state, mu)
     adaptive = cfg.dt is None
     dt = heuristic if adaptive else cfg.dt

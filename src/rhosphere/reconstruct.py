@@ -9,15 +9,16 @@ series reads too.  Everything in this module is about evaluating through,
 or quantifying, that degeneracy:
 
 * ``flow_map`` builds K on the nodes (trapezoid prefix sum, so the full
-  period is the plain grid mean) together with the maximal flat intervals.
+  period is the plain grid mean) and the maximal flat intervals, from
+  the rises and falls of the flat-set mask.
 * ``FlowMap.invert`` sends an Eulerian point back to its label by binary
   search plus linear interpolation; a point swallowed by a flat interval
   maps to the interval midpoint.
 * ``eulerian_velocity`` samples u = vel(label) and u_x = 2 rho_t / rho at
-  the preimages of a uniform Eulerian grid, clamping the slope and
-  flagging nodes where the value is not trustworthy: those whose
-  preimage cell has a flat or clamped end node, which includes every
-  point a flat interval swallows.
+  the preimages of a uniform Eulerian grid through one stencil (left
+  node, right node, fraction) that every sampled field shares, here and
+  in ``weak_residual``; it clamps the slope and flags a sample whose
+  stencil has a flat or clamped node, as every swallowed point does.
 * ``weak_residual`` checks the reconstructed fields against the
   divergence-form momentum balance with a smooth space-time bump: the
   nonlocal pressure is rebuilt on the physical grid by applying the
@@ -79,44 +80,23 @@ class FlowMap:
         y = np.atleast_1d(y)
         m = np.floor((y - self.knots[0]) / self.period)
         yr = y - m * self.period
+        if self.knots[-2] == self.knots[-1]:
+            # K(0) is K(1) less the period, and the top knots tie: a query
+            # there is taken at the top, where its flat cells are
+            top = yr == self.knots[0]
+            yr, m = np.where(top, self.knots[-1], yr), m - top
         right = np.searchsorted(self.knots, yr, side="right")
-        j = np.clip(right - 1, 0, self.grid.n - 1)
+        # a query tying several equal knots sits on a collapsed image: its
+        # cell is the first it ties with, whose run midpoint it then takes
+        left = np.searchsorted(self.knots, yr, side="left")
+        j = np.clip(np.where(right - left >= 2, left, right - 1), 0, self.grid.n - 1)
         dk = self.knots[j + 1] - self.knots[j]
         with np.errstate(divide="ignore", invalid="ignore"):
             frac = np.where(dk > 0.0, (yr - self.knots[j]) / dk, 0.5)
         x = (j + np.clip(frac, 0.0, 1.0)) * self.grid.h
         mid = self._cell_mid[j]
-        x = np.where(np.isnan(mid), x, mid)
-        # a query tying several equal knots sits on a collapsed image; send
-        # it to the midpoint of the labels it ties with
-        left = np.searchsorted(self.knots, yr, side="left")
-        tie = right - left >= 2
-        if np.any(tie):
-            x = np.where(tie, 0.5 * (left + right - 1) * self.grid.h, x)
-        x = x + m
+        x = np.where(np.isnan(mid), x, mid) + m
         return float(x[0]) if scalar else x
-
-
-def _flat_runs(flags: np.ndarray) -> list[tuple[int, int]]:
-    """Maximal circular runs of True as (start, length)."""
-    n = flags.size
-    if flags.all():
-        return [(0, n)]
-    if not flags.any():
-        return []
-    ext = np.concatenate([flags, flags])
-    runs = []
-    i = 0
-    while i < n:
-        if ext[i] and not ext[i - 1]:
-            length = 1
-            while ext[i + length]:
-                length += 1
-            runs.append((i, length))
-            i += length
-        else:
-            i += 1
-    return runs
 
 
 def flow_map(grid: PeriodicGrid, state: LagrangianState) -> FlowMap:
@@ -125,14 +105,24 @@ def flow_map(grid: PeriodicGrid, state: LagrangianState) -> FlowMap:
         raise ValueError("flow map of an identically flat state is degenerate")
     wrapped = np.concatenate([rho2, rho2[:1]])
     knots = state.k0 + np.concatenate([[0.0], np.cumsum(0.5 * grid.h * (wrapped[:-1] + wrapped[1:]))])
-
-    runs = _flat_runs(flat_set(rho2))
-    intervals = [(a * grid.h, (a + ln - 1) * grid.h) for a, ln in runs]
     cell_mid = np.full(grid.n, np.nan)
-    for a, ln in runs:
-        mid = (a + 0.5 * (ln - 1)) * grid.h
-        for c in range(a, a + ln - 1):
-            cell_mid[c % grid.n] = mid - (1.0 if c >= grid.n else 0.0)
+    flags = flat_set(rho2)
+    if not flags.any():
+        return FlowMap(grid, state.k0, knots, [], cell_mid)
+
+    # a run starts where the circular mask rises and ends where it falls;
+    # labels before the first rise belong to the last run, which wraps
+    # past label n - 1: its end moves up by n labels, and the midpoint its
+    # cells there send to moves down by one period
+    prev, nxt = np.concatenate((flags[-1:], flags[:-1])), np.concatenate((flags[1:], flags[:1]))
+    rises, cells = flags & ~prev, flags & nxt
+    starts, ends = np.flatnonzero(rises), np.flatnonzero(flags & ~nxt)
+    if ends[0] < starts[0]:
+        ends = np.append(ends[1:], ends[0] + grid.n)
+    mid = (starts + 0.5 * (ends - starts)) * grid.h
+    run = np.cumsum(rises)[cells] - 1
+    cell_mid[cells] = mid[run] - (run < 0)
+    intervals = list(zip((starts * grid.h).tolist(), (ends * grid.h).tolist()))
     return FlowMap(grid, state.k0, knots, intervals, cell_mid)
 
 
@@ -162,11 +152,14 @@ def slope_field(state: LagrangianState) -> tuple[np.ndarray, np.ndarray]:
     return clamped, valid
 
 
-def _interp_nodes(values: np.ndarray, pos: np.ndarray, n: int):
-    j = np.minimum((pos % 1.0 * n).astype(int), n - 1)
-    frac = pos % 1.0 * n - j
-    jp = (j + 1) % n
-    return (1.0 - frac) * values[j] + frac * values[jp], j, jp
+def _stencil(fmap: FlowMap, y: np.ndarray):
+    """The preimages of y as left node, right node and fraction, formed
+    once per inversion, and the linear sampler of nodal fields through them."""
+    n = fmap.grid.n
+    pos = fmap.invert(y) % 1.0 * n
+    left = np.minimum(pos.astype(int), n - 1)
+    right, frac = (left + 1) % n, pos - left
+    return left, right, lambda values: (1.0 - frac) * values[left] + frac * values[right]
 
 
 def eulerian_velocity(
@@ -175,17 +168,14 @@ def eulerian_velocity(
     mu: float,
     m: int | None = None,
 ) -> EulerianField:
-    """u and u_x on the uniform m-point physical grid at the state's time."""
+    """u and u_x on the uniform m-point physical grid at the state's time;
+    a slope sample is valid where both nodes of its stencil are."""
     m = m if m is not None else grid.n
-    fmap = flow_map(grid, state)
-    vel = lagrangian_velocity(grid, state, mu)
     slopes, node_ok = slope_field(state)
     y = np.arange(m) / m
-    x = fmap.invert(y)
-    u, j, jp = _interp_nodes(vel, x, grid.n)
-    ux, _, _ = _interp_nodes(slopes, x, grid.n)
-    valid = node_ok[j] & node_ok[jp]
-    return EulerianField(state.t, y, u, np.clip(ux, -SLOPE_CLAMP, SLOPE_CLAMP), valid)
+    left, right, sample = _stencil(flow_map(grid, state), y)
+    u, ux = sample(lagrangian_velocity(grid, state, mu)), sample(slopes)
+    return EulerianField(state.t, y, u, np.clip(ux, -SLOPE_CLAMP, SLOPE_CLAMP), node_ok[left] & node_ok[right])
 
 
 def field_energy(field: EulerianField, valid_only: bool = True) -> float:
@@ -312,6 +302,8 @@ def weak_residual(
     """
     if route not in ("helmholtz", "label"):
         raise ValueError(f"unknown pressure route {route!r}")
+    if times is not None and times < 1:
+        raise ValueError(f"times must be >= 1, got {times!r}")
     end = float(record.series.t[-1])
     if not (0.0 < test_fn.t0 < test_fn.t1 < end):
         raise ValueError("test function must be compactly supported inside (0, t_end)")
@@ -337,21 +329,17 @@ def weak_residual(
     for i in range(1, times + 1):
         t = test_fn.t0 + i * h
         st = state_at(record, t)
-        fmap = flow_map(grid, st)
-        vel = lagrangian_velocity(grid, st, mu)
-        x = fmap.invert(y)
-        u, _, _ = _interp_nodes(vel, x, n)
         if route == "helmholtz":
-            slopes, node_ok = slope_field(st)
-            ux, j, jp = _interp_nodes(slopes, x, n)
             # drop slope samples whose stencil touches a breaking node:
             # the squared-slope density there is the singular part, carried
             # by an image set of vanishing measure
-            ux = np.where(node_ok[j] & node_ok[jp], ux, 0.0)
+            fld = eulerian_velocity(grid, st, mu, m)
+            u, ux = fld.u, np.where(fld.valid_ux, fld.ux, 0.0)
             px = egrid.deriv(egrid.helmholtz_inverse(u * u + 0.5 * ux * ux))
         else:
-            pg = kernel_fields(grid, st, vel)[1]
-            px, _, _ = _interp_nodes(pg, x, n)
+            vel = lagrangian_velocity(grid, st, mu)
+            sample = _stencil(flow_map(grid, st), y)[2]
+            u, px = sample(vel), sample(kernel_fields(grid, st, vel)[1])
         total += np.mean(u * test_fn.phi_t(y, t) + 0.5 * u * u * test_fn.phi_x(y, t) - px * test_fn.phi(y, t))
     return float(h * total)
 

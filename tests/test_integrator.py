@@ -637,6 +637,23 @@ def test_evolve_rejects_runs_it_cannot_hold(dt, t_end):
         evolve(grid, state, mu, IntegratorConfig(dt=dt, t_end=t_end))
 
 
+@pytest.mark.parametrize("stride", [0, -3])
+def test_evolve_rejects_a_snapshot_stride_below_one(stride):
+    # a stride below 1 never moves the next snapshot on: the callback ends
+    # such a run after 100 snapshots, so that the check fails, not hangs
+    grid, state, mu = initial_state(InitialSpec("sine", 64, amplitude=0.5))
+    steps = []
+
+    def on_snapshot(snapshot, step):
+        steps.append(step)
+        if len(steps) > 100:
+            raise RuntimeError(f"{len(steps)} snapshots, the last at step {step}")
+
+    with pytest.raises(ValueError, match="snapshot_stride"):
+        evolve(grid, state, mu, IntegratorConfig(dt=1e-2, t_end=0.1, snapshot_stride=stride), on_snapshot=on_snapshot)
+    assert steps == []
+
+
 def test_step_count_limit():
     assert step_count(0.1, 0.3) == (3, True)
     assert step_count(0.03, 0.1) == (4, False)

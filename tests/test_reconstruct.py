@@ -33,11 +33,11 @@ def peakon_record():
 
 
 def flat_state(n=128):
-    """A sphere state whose rho vanishes identically on a label interval."""
+    """A sphere state whose rho vanishes identically on a label interval
+    around label 0, so that its flat run wraps past label n - 1."""
     grid = PeriodicGrid(n)
-    x = grid.x
-    rho = np.where(np.abs(x - 0.5) < 0.08, 0.0,
-                   np.sin(np.pi * np.clip((np.abs(x - 0.5) - 0.08) / 0.2, 0.0, 1.0) / 2) ** 2)
+    d = np.abs((grid.x + 0.5) % 1.0 - 0.5)
+    rho = np.where(d < 0.08, 0.0, np.sin(np.pi * np.clip((d - 0.08) / 0.2, 0.0, 1.0) / 2) ** 2)
     rho = rho / np.sqrt(grid.quad(rho * rho))
     return grid, LagrangianState(rho, np.zeros(n), 0.25, 0.0)
 
@@ -71,14 +71,49 @@ def test_invert_roundtrip_smooth():
 def test_flat_interval_detected_and_inverted_to_midpoint():
     grid, state = flat_state()
     fmap = flow_map(grid, state)
-    assert fmap.flat_intervals, "flat run not found"
-    lo, hi = fmap.flat_intervals[0]
-    # the interval straddles label 0.5
-    assert lo < 0.5 < hi
+    # one run, straddling label 0: it starts below 1 and ends past it
+    [(lo, hi)] = fmap.flat_intervals
+    assert lo < 1.0 < hi
     # inverting the collapsed image point lands at the interval midpoint
-    y_star = fmap(np.array([0.5 * (lo + hi)]))[0]
-    x_back = fmap.invert(np.array([y_star]))[0]
-    assert abs(x_back - 0.5 * (lo + hi)) < 1e-9
+    mid = 0.5 * (lo + hi)
+    x_back = fmap.invert(fmap(np.array([mid])))
+    assert abs((x_back[0] - mid + 0.5) % 1.0 - 0.5) < 1e-9
+
+
+def _walked_intervals(flags, h):
+    """Maximal circular runs of flagged labels, found label by label."""
+    n = flags.size
+    runs = []
+    for a in range(n):
+        if flags[a] and not flags[a - 1]:
+            b = a
+            while flags[(b + 1) % n]:
+                b += 1
+            runs.append((a * h, b * h))
+    return runs
+
+
+def test_flat_intervals_match_a_walk_over_labels():
+    rng = np.random.default_rng(7)
+    seen = {"single": 0, "several": 0, "wrapping": 0}
+    for _ in range(400):
+        n = int(rng.choice([16, 64, 256]))
+        grid = PeriodicGrid(n)
+        rho = 0.5 + rng.random(n)
+        for _ in range(int(rng.integers(0, 5))):
+            start, length = rng.integers(0, n), rng.integers(1, n // 4)
+            rho[np.arange(start, start + length) % n] = 0.0
+        fmap = flow_map(grid, LagrangianState(rho, np.zeros(n), 0.25, 0.0))
+        assert fmap.flat_intervals == _walked_intervals(rho == 0.0, grid.h)
+        for lo, hi in fmap.flat_intervals:
+            # each run's collapsed image goes back to its midpoint, mod 1
+            mid = 0.5 * (lo + hi)
+            x_back = fmap.invert(fmap(np.array([mid % 1.0])))
+            assert abs((x_back[0] - mid + 0.5) % 1.0 - 0.5) < 1e-12
+        seen["single"] += any(lo == hi for lo, hi in fmap.flat_intervals)
+        seen["several"] += len(fmap.flat_intervals) > 1
+        seen["wrapping"] += any(hi >= 1.0 for lo, hi in fmap.flat_intervals)
+    assert min(seen.values()) >= 20, seen
 
 
 def test_velocity_constant_on_flat_interval():
@@ -89,7 +124,8 @@ def test_velocity_constant_on_flat_interval():
 
     vel = lagrangian_velocity(grid, state, mu)
     lo, hi = flow_map(grid, state).flat_intervals[0]
-    sel = (grid.x > lo + 1e-9) & (grid.x < hi - 1e-9)
+    past_lo = (grid.x - lo) % 1.0
+    sel = (past_lo > 1e-9) & (past_lo < hi - lo - 1e-9)
     spread = np.ptp(vel[sel])
     assert spread < 1e-7
 
@@ -233,6 +269,18 @@ def test_weak_residual_rejects_bad_window():
     negative = bump_test(center=0.5, width=0.2, t0=-0.1, t1=0.3)
     with pytest.raises(ValueError):
         weak_residual(rec, mu, negative, m=64)
+
+
+@pytest.mark.parametrize("times", [0, -1, -2])
+def test_weak_residual_rejects_times_below_one(times):
+    # with no sample the sum would read as a vanishing residual, and the
+    # time step (t1 - t0) / (times + 1) divides by zero or changes sign
+    grid, state, mu = initial_state(InitialSpec("sine", 64, amplitude=0.2))
+    rec = evolve(grid, state, mu, IntegratorConfig(dt=1e-2, t_end=0.5))
+    phi = bump_test(center=0.5, width=0.2, t0=0.1, t1=0.4)
+    for route in ("helmholtz", "label"):
+        with pytest.raises(ValueError, match="times"):
+            weak_residual(rec, mu, phi, m=64, times=times, route=route)
 
 
 def test_weak_residual_rejects_nonperiodic_test_function():
