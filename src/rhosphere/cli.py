@@ -19,7 +19,10 @@ writing the oldest itself past that.  After the run this process writes
 series.csv and events.csv, then shares the snapshots still held;
 metadata.txt comes last.  Without the child (one CPU, one snapshot, or
 a sweep point) each snapshot file is written as soon as `evolve` makes
-it.  The bytes of the run directory are the same either way.
+it.  The bytes of the run directory are the same either way.  The child
+keeps off the CPU this process was on at the fork: a pipe write wakes its
+reader on the writer's CPU, so a child left there would take turns with
+`evolve` instead of writing beside it.
 
 Exit codes: 0 success, 1 configuration problems, 2 a run that stopped
 early (non-finite step or reference-solver blowup), 3 validation failure.
@@ -52,6 +55,35 @@ from .validate import full_validation
 def _cpus() -> int:
     """The CPUs this process may run on."""
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+# this thread's stat line; its field 39 is the CPU the thread last ran on
+THREAD_STAT = "/proc/thread-self/stat"
+
+
+def _this_cpu() -> int | None:
+    """The CPU this thread is on, or None where THREAD_STAT is missing or
+    cannot be parsed.  The fields are counted after the command name, the
+    last ")" of the line, since that name may hold spaces."""
+    try:
+        with open(THREAD_STAT, "rb") as f:
+            return int(f.read().rpartition(b")")[2].split()[36])
+    except (OSError, ValueError, IndexError):
+        return None
+
+
+def _keep_off(cpu: int | None) -> None:
+    """Restrict this process to the CPUs it may use other than cpu.  It
+    stays where it is if cpu is unknown, if no other CPU is left or if the
+    kernel refuses the set, as it may under a cpuset."""
+    if cpu is None or not hasattr(os, "sched_setaffinity"):
+        return
+    others = os.sched_getaffinity(0) - {cpu}
+    if others:
+        try:
+            os.sched_setaffinity(0, others)
+        except OSError:
+            pass
 
 
 def _fmt(x) -> str:
@@ -160,7 +192,10 @@ class _SnapshotWriters:
     writes the oldest message itself.  After the run, `drain` shares what
     is left: the child takes messages from the front, this process from
     the back.  `close` joins the child; a child that died is a
-    RuntimeError from `check`, never an exception inside `evolve`.
+    RuntimeError from `check`, never an exception inside `evolve`.  The
+    child first moves off the CPU this process was on at the fork, where
+    each send would wake it and make `evolve` wait while it writes; this
+    process itself is never pinned.
     """
 
     def __init__(self, snapdir: Path, grid: PeriodicGrid, mu: float, fork: bool):
@@ -181,7 +216,7 @@ class _SnapshotWriters:
         # the fork context flushes stdout and stderr first, and the child
         # leaves through os._exit, so no buffered output is written twice
         self.process = multiprocessing.get_context("fork").Process(
-            target=self._child, args=(data_r, ack_w), name="snapshot writer")
+            target=self._child, args=(data_r, ack_w, _this_cpu()), name="snapshot writer")
         try:
             self.process.start()
         except BaseException:
@@ -191,11 +226,12 @@ class _SnapshotWriters:
             os.close(data_r)
             os.close(ack_w)
 
-    def _child(self, data: int, ack: int) -> None:
+    def _child(self, data: int, ack: int, parent_cpu: int | None) -> None:
         """The child's loop: read a message, write its file, ack one byte,
-        until the parent closes the data pipe.  It first closes the
-        parent's pipe ends it inherited, or the data pipe would never reach
-        end of file."""
+        until the parent closes the data pipe.  It first keeps off
+        parent_cpu, then closes the parent's pipe ends it inherited, or the
+        data pipe would never reach end of file."""
+        _keep_off(parent_cpu)
         os.close(self.data)
         os.close(self.ack)
         msg = np.empty(3 + 2 * self.grid.n)

@@ -5,10 +5,12 @@ Runs main() in process with small grids so the whole file stays fast.
 
 import concurrent.futures
 import contextlib
+import errno
 import io
 import multiprocessing
 import os
 import re
+import select
 import struct
 import subprocess
 import sys
@@ -506,6 +508,74 @@ def test_simulate_forks_one_writer_whatever_the_cpus(tmp_path, monkeypatch):
     assert len(forks) == 1
     assert multiprocessing.active_children() == []
     assert len(list((tmp_path / "run" / "snapshots").iterdir())) == 51
+
+
+def refuse_pin(pid, cpus):
+    # raised in the child, where it would be exit code 1 and a RuntimeError
+    raise AssertionError(f"pinned to {cpus}")
+
+
+def einval_pin(pid, cpus):
+    raise OSError(errno.EINVAL, "Invalid argument")
+
+
+@pytest.mark.parametrize("stat,cpu,allowed,set_affinity", [
+    (None, None, None, refuse_pin),
+    (b"", None, None, refuse_pin),
+    (b"1 (a) b) R" + b" 0" * 35, None, None, refuse_pin),
+    (b"1 (python) R" + b" 0" * 35 + b" cpu0 0", None, None, refuse_pin),
+    ("real", 0, {0}, refuse_pin),
+    ("real", None, None, einval_pin),
+], ids=["no_stat", "empty_stat", "short_stat", "garbled_stat", "no_cpu_left", "einval"])
+def test_writer_child_runs_unpinned_when_the_pin_fails(tmp_path, monkeypatch, stat, cpu, allowed,
+                                                       set_affinity):
+    cfg = parse_config(every_step_cfg(tmp_path))
+    with contextlib.redirect_stdout(io.StringIO()):
+        _simulate_to(cfg, tmp_path / "inline")
+    if stat != "real":
+        path = tmp_path / "stat"
+        if stat is not None:
+            path.write_bytes(stat)
+        monkeypatch.setattr(cli, "THREAD_STAT", str(path))
+        assert cli._this_cpu() is None
+    if cpu is not None:
+        monkeypatch.setattr(cli, "_this_cpu", lambda: cpu)
+    if allowed is not None:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: allowed, raising=False)
+    monkeypatch.setattr(os, "sched_setaffinity", set_affinity, raising=False)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert _simulate_to(cfg, tmp_path / "forked", True)[0] == 0
+    assert multiprocessing.active_children() == []
+    assert run_files(tmp_path / "forked") == run_files(tmp_path / "inline")
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs at least two CPUs this process may use")
+def test_writer_child_keeps_off_the_parents_cpu(tmp_path, monkeypatch):
+    if cli._this_cpu() is None:
+        pytest.skip(f"{cli.THREAD_STAT} cannot be read")
+    read_cpu = cli._this_cpu
+    at_fork = []
+
+    def recorded_cpu():
+        at_fork.append(read_cpu())
+        return at_fork[-1]
+
+    monkeypatch.setattr(cli, "_this_cpu", recorded_cpu)
+    grid, state, mu = cli._build_run(parse_config(simulate_cfg(tmp_path)))
+    writers = cli._SnapshotWriters(tmp_path, grid, mu, True)
+    try:
+        writers(state, 0)
+        assert select.select([writers.ack], [], [], 60)[0]
+        assert os.read(writers.ack, 64) == b"\0"
+        child_cpus = os.sched_getaffinity(writers.process.pid)
+    finally:
+        writers.close()
+    writers.check()
+    assert len(at_fork) == 1 and at_fork[0] is not None
+    assert child_cpus and at_fork[0] not in child_cpus
+    assert os.sched_getaffinity(0) >= child_cpus | {at_fork[0]}
+    assert [p.name for p in tmp_path.glob("snap_*.csv")] == ["snap_000000.csv"]
 
 
 def test_package_and_cli_import_neither_orjson_nor_the_process_pool():
