@@ -40,7 +40,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, _affinity
 from .config import DEFAULTS, ConfigError, RunConfig, parse_config
 from .grid import PeriodicGrid
 from .integrate import SimulationRecord, StepFailure, StepLimitError, default_dt, evolve, step_count
@@ -50,40 +50,6 @@ from .oracle import eulerian_evolve
 from .reconstruct import flow_map, slope_field
 from .scenarios import initial_state, make_initial
 from .validate import full_validation
-
-
-def _cpus() -> int:
-    """The CPUs this process may run on."""
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-
-
-# this thread's stat line; its field 39 is the CPU the thread last ran on
-THREAD_STAT = "/proc/thread-self/stat"
-
-
-def _this_cpu() -> int | None:
-    """The CPU this thread is on, or None where THREAD_STAT is missing or
-    cannot be parsed.  The fields are counted after the command name, the
-    last ")" of the line, since that name may hold spaces."""
-    try:
-        with open(THREAD_STAT, "rb") as f:
-            return int(f.read().rpartition(b")")[2].split()[36])
-    except (OSError, ValueError, IndexError):
-        return None
-
-
-def _keep_off(cpu: int | None) -> None:
-    """Restrict this process to the CPUs it may use other than cpu.  It
-    stays where it is if cpu is unknown, if no other CPU is left or if the
-    kernel refuses the set, as it may under a cpuset."""
-    if cpu is None or not hasattr(os, "sched_setaffinity"):
-        return
-    others = os.sched_getaffinity(0) - {cpu}
-    if others:
-        try:
-            os.sched_setaffinity(0, others)
-        except OSError:
-            pass
 
 
 def _fmt(x) -> str:
@@ -96,6 +62,16 @@ def _fmt(x) -> str:
     if isinstance(x, tuple):
         return " ".join(_fmt(v) for v in x)
     return str(x)
+
+
+def _make_dir(path: Path) -> None:
+    """Create the directory path and its parents.  One that cannot be made,
+    as under a regular file, is a configuration problem, met before any
+    work."""
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create the output directory {path}: {exc.strerror or exc}") from None
 
 
 def _write_lines(path: Path, lines) -> None:
@@ -216,7 +192,7 @@ class _SnapshotWriters:
         # the fork context flushes stdout and stderr first, and the child
         # leaves through os._exit, so no buffered output is written twice
         self.process = multiprocessing.get_context("fork").Process(
-            target=self._child, args=(data_r, ack_w, _this_cpu()), name="snapshot writer")
+            target=self._child, args=(data_r, ack_w, _affinity.this_cpu()), name="snapshot writer")
         try:
             self.process.start()
         except BaseException:
@@ -231,7 +207,7 @@ class _SnapshotWriters:
         until the parent closes the data pipe.  It first keeps off
         parent_cpu, then closes the parent's pipe ends it inherited, or the
         data pipe would never reach end of file."""
-        _keep_off(parent_cpu)
+        _affinity.keep_off(parent_cpu)
         os.close(self.data)
         os.close(self.ack)
         msg = np.empty(3 + 2 * self.grid.n)
@@ -368,7 +344,7 @@ def _simulate_to(cfg: RunConfig, out: Path, fork: bool = False, observe=None):
     icfg = cfg.integrator_config()
     fork = _snapshot_count(grid, state, mu, icfg) > 1 and fork
     snapdir = out / "snapshots"
-    snapdir.mkdir(parents=True, exist_ok=True)
+    _make_dir(snapdir)
     writers = _SnapshotWriters(snapdir, grid, mu, fork)
     on_snapshot = writers
     if observe is not None:
@@ -396,17 +372,19 @@ def _simulate_to(cfg: RunConfig, out: Path, fork: bool = False, observe=None):
 
 
 def run_simulate(cfg: RunConfig, out: Path) -> int:
-    code, _, _ = _simulate_to(cfg, out, hasattr(os, "fork") and _cpus() > 1)
+    code, _, _ = _simulate_to(cfg, out, hasattr(os, "fork") and _affinity.cpus() > 1)
     return code
 
 
 def run_validate(cfg: RunConfig, out: Path | None, flip_h_sign: bool) -> int:
-    checks = full_validation(**cfg.validation_args(), flip_h_sign=flip_h_sign)
+    args = cfg.validation_args()
+    if out is not None:
+        _make_dir(out)
+    checks = full_validation(**args, flip_h_sign=flip_h_sign)
     lines = [c.line() for c in checks]
     for line in lines:
         print(line)
     if out is not None:
-        out.mkdir(parents=True, exist_ok=True)
         _write_lines(out / "validation.txt", lines)
     failed = [c.name for c in checks if not c.passed]
     if failed:
@@ -422,11 +400,21 @@ def run_compare(cfg: RunConfig, out: Path | None) -> int:
     args = cfg.compare_args()
     t_list, cap, m = args["times"], args["slope_cap"], args["m"]
     _snapshot_count(grid, state, mu, icfg)  # for its ConfigError only
+    fresh = out is not None and not out.exists()
+    if out is not None:
+        _make_dir(out)
+
+    def stopped() -> int:
+        # a compare that writes no file leaves no directory of its own
+        if fresh:
+            out.rmdir()
+        return 2
+
     try:
         record = evolve(grid, state, mu, icfg)
     except StepFailure as fail:
         print(f"run stopped early: {fail}", file=sys.stderr)
-        return 2
+        return stopped()
 
     u0, _, _ = make_initial(cfg.initial_spec())
     dt_ref = record.dt if args["dt"] is None else float(args["dt"])
@@ -435,7 +423,7 @@ def run_compare(cfg: RunConfig, out: Path | None) -> int:
         print(f"reference solver stopped at t = {traj.blowup_time:g} (slope cap {cap:g})",
               file=sys.stderr)
         if traj.times[-1] < t_list[0]:
-            return 2
+            return stopped()
     m = int(m) if m is not None else traj.n
     rows = []
     skipped = []
@@ -450,7 +438,6 @@ def run_compare(cfg: RunConfig, out: Path | None) -> int:
         print("skipped (past reference stop): " + " ".join(f"{t:g}" for t in skipped),
               file=sys.stderr)
     if out is not None:
-        out.mkdir(parents=True, exist_ok=True)
         lines = ["t,l2,linf"]
         lines += [",".join(_fmt(v) for v in row) for row in rows]
         _write_lines(out / "compare.csv", lines)
@@ -493,6 +480,7 @@ def run_sweep(cfg: RunConfig, out: Path, workers: int) -> int:
         icfg = run_cfg.integrator_config()
         _snapshot_count(*_build_run(run_cfg), icfg)
         payloads.append((cfg.values, assignment, str(out / f"run_{idx:04d}")))
+    _make_dir(out)
     # a fork pool starts all its workers at the first submit, so never
     # more than there are points
     workers = min(workers, len(payloads))
@@ -503,7 +491,6 @@ def run_sweep(cfg: RunConfig, out: Path, workers: int) -> int:
             results = list(pool.map(_sweep_worker, payloads))
     else:
         results = [_sweep_worker(p) for p in payloads]
-    out.mkdir(parents=True, exist_ok=True)
     lines = ["run," + ",".join(keys) + ",exit,breaking_time,energy_drift,max_slope"]
     succeeded = 0
     for idx, (assignment, code, breaking, drift, max_slope) in enumerate(results):
@@ -523,7 +510,7 @@ def run_sweep(cfg: RunConfig, out: Path, workers: int) -> int:
 
 def _resolve_workers(arg_value) -> int:
     if arg_value is None:
-        return _cpus()
+        return _affinity.cpus()
     if arg_value < 1:
         raise ConfigError("worker count must be at least 1")
     return arg_value

@@ -56,6 +56,8 @@ grid's work rows, and the right-hand side, `lagrangian_velocity`,
 `kernel_fields`, `pressure` and `energy` all read them, so each gives the
 integrator's own numbers bit for bit.  Both kernel modes take pt from the
 pair; the direct mode's own DFT checks the fast prefix assembly.
+`velocity_and_gradient` reads vel and the gradient off one pair, where
+`lagrangian_velocity` and then `kernel_fields` would form it twice.
 
 Wave breaking is rho passing through zero.  The flat set, the labels where
 rho^2 sits under FLAT_EPS_REL of its largest value, is where the Eulerian
@@ -271,13 +273,9 @@ def _energy(grid, source):
     return (float(sums[0]) + 2.0 * float(sums[1])) * grid._inv_n
 
 
-def lagrangian_velocity(grid: PeriodicGrid, state: LagrangianState, mu: float) -> np.ndarray:
-    """Material velocity vel = int_0^x 2 rho rho_t dy + offset.
-
-    Warns if the tangency defect, relative to max(1, max|2 rho rho_t|), is
-    large enough that vel cannot close up over the period; raises
-    ValueError for a state that is not finite.
-    """
+def _checked_pair(grid, state, mu):
+    """`_antiderivative_pair` of state with `lagrangian_velocity`'s checks;
+    returns alpha.  The warning names the caller of the public function."""
     # a non-finite entry of the state or of its products leaves alpha,
     # flux or the offset non-finite
     alpha, flux, offset = _antiderivative_pair(grid, state.rho, state.rho_t, mu)
@@ -288,9 +286,20 @@ def lagrangian_velocity(grid: PeriodicGrid, state: LagrangianState, mu: float) -
         warnings.warn(
             f"tangency defect {flux:.3e} exceeds {TANGENCY_WARN:.0e} of max(1, max|2 rho rho_t|); "
             "velocity will not be periodic",
-            stacklevel=2,
+            stacklevel=3,
         )
-    return rows[3].copy()
+    return alpha
+
+
+def lagrangian_velocity(grid: PeriodicGrid, state: LagrangianState, mu: float) -> np.ndarray:
+    """Material velocity vel = int_0^x 2 rho rho_t dy + offset.
+
+    Warns if the tangency defect, relative to max(1, max|2 rho rho_t|), is
+    large enough that vel cannot close up over the period; raises
+    ValueError for a state that is not finite.
+    """
+    _checked_pair(grid, state, mu)
+    return grid._field_rows[3].copy()
 
 
 def _kernel_at(grid, state, vel, mode):
@@ -300,6 +309,15 @@ def _kernel_at(grid, state, vel, mode):
     alpha = _antiderivative_pair(grid, state.rho, state.rho_t, 0.0)[0]
     _source_rows(grid, state.rho_t, vel)
     return _kernel(grid, alpha, mode)
+
+
+def _gradient(qp, qm, ea, eb):
+    """Odd combination of the kernel terms, as a new array."""
+    half = np.add(qp, qm)
+    half *= 0.5
+    pgrad = np.subtract(ea, eb)
+    pgrad -= half
+    return pgrad
 
 
 def pressure(grid: PeriodicGrid, state: LagrangianState, vel: np.ndarray, mode: str = "fast") -> np.ndarray:
@@ -315,11 +333,19 @@ def kernel_fields(grid: PeriodicGrid, state: LagrangianState, vel: np.ndarray,
     flow."""
     qp, qm, ea, eb = _kernel_at(grid, state, vel, mode)
     # the odd combination first: the even one overwrites qp and ea
-    half = np.add(qp, qm)
-    half *= 0.5
-    pgrad = np.subtract(ea, eb)
-    pgrad -= half
+    pgrad = _gradient(qp, qm, ea, eb)
     return _press(qp, qm, ea, eb).copy(), pgrad
+
+
+def velocity_and_gradient(grid: PeriodicGrid, state: LagrangianState,
+                          mu: float) -> tuple[np.ndarray, np.ndarray]:
+    """vel and the pressure gradient, from one antiderivative pair: bit for
+    bit `lagrangian_velocity` and `kernel_fields(..., vel)[1]`, with the
+    former's error and warning, since alpha and p_tilde do not depend on mu."""
+    alpha = _checked_pair(grid, state, mu)
+    vel = grid._field_rows[3].copy()
+    _source_rows(grid, state.rho_t, vel)
+    return vel, _gradient(*_kernel(grid, alpha, "fast"))
 
 
 @dataclass

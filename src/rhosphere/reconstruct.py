@@ -39,7 +39,8 @@ import numpy as np
 
 from .grid import PeriodicGrid
 from .integrate import _dense_state
-from .lagrangian import FLAT_EPS_REL, LagrangianState, evaluate, flat_set, kernel_fields, lagrangian_velocity
+from .lagrangian import (FLAT_EPS_REL, LagrangianState, evaluate, flat_set, lagrangian_velocity,
+                         velocity_and_gradient)
 
 SLOPE_CLAMP = 1.0 / FLAT_EPS_REL
 
@@ -337,9 +338,9 @@ def weak_residual(
             u, ux = fld.u, np.where(fld.valid_ux, fld.ux, 0.0)
             px = egrid.deriv(egrid.helmholtz_inverse(u * u + 0.5 * ux * ux))
         else:
-            vel = lagrangian_velocity(grid, st, mu)
+            vel, pgrad = velocity_and_gradient(grid, st, mu)
             sample = _stencil(flow_map(grid, st), y)[2]
-            u, px = sample(vel), sample(kernel_fields(grid, st, vel)[1])
+            u, px = sample(vel), sample(pgrad)
         total += np.mean(u * test_fn.phi_t(y, t) + 0.5 * u * u * test_fn.phi_x(y, t) - px * test_fn.phi(y, t))
     return float(h * total)
 

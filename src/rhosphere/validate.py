@@ -10,18 +10,33 @@ lower-bound diagnostic and the flow-map round trip.
 
 Both layers return CheckResult rows; the command-line ``validate`` prints
 them and fails the process when any row fails.
+
+``full_validation`` makes the evolution suite's forward run, then forks
+one child that runs the identity suite, the envelope check, the offset
+slope series and the flow-map round trip on it while this process makes
+the time-reversal run.  The child first keeps off the CPU this process
+was on at the fork (`_affinity`), since the pipe that carries its rows
+back would otherwise wake it there to take turns with the reversal run.
+With one usable CPU, no os.fork or other live threads, which a fork does
+not copy, all of it runs in this process.  The rows come back in the same
+order and with the same bits either way.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import pickle
+import sys
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .grid import PeriodicGrid
 from .integrate import IntegratorConfig, evolve, gronwall_check, project
-from .lagrangian import LagrangianState, apriori_bound, evaluate, kernel_fields, lagrangian_velocity
+from .lagrangian import (LagrangianState, apriori_bound, evaluate, kernel_fields, lagrangian_velocity,
+                         velocity_and_gradient)
 from .reconstruct import flow_map
 from .scenarios import InitialSpec, initial_state
 
@@ -168,37 +183,47 @@ def _offset_slope_check(grid: PeriodicGrid, rec, mu: float, dt: float) -> CheckR
     c_series = np.zeros(times.size)
     h_series = np.zeros(times.size)
     for i, snap in enumerate(rec.snapshots):
-        vel = lagrangian_velocity(grid, snap, mu)
+        vel, pgrad = velocity_and_gradient(grid, snap, mu)
         c_series[i] = vel[0]
-        h_series[i] = kernel_fields(grid, snap, vel)[1][0]
+        h_series[i] = pgrad[0]
     dc = (c_series[2:] - c_series[:-2]) / (times[2:] - times[:-2])
     slope_err = float(np.max(np.abs(dc + h_series[1:-1])))
     return _result("offset_slope_check", slope_err, 100.0 * dt * dt, "central difference")
 
 
-def run_evolution_checks(n: int = 64, dt: float = 1e-3, t_end: float = 0.5) -> list[CheckResult]:
-    """Short smooth run: conservation, constraints, reversal, round trips.
+# the evolution checks' grid, step and horizon in the full battery
+EVOLUTION_N, EVOLUTION_DT, EVOLUTION_T_END = 64, 1e-3, 0.5
+
+
+def _forward_run(n: int, dt: float, t_end: float):
+    """The evolution checks' profile and its run with a snapshot every
+    step: (grid, initial state, mu, record).
 
     The profile deliberately has no odd symmetry, otherwise the offset
     slope check would compare zero against zero.
     """
     grid, state0, mu = initial_state(InitialSpec(
         kind="fourier", n=n, mean=0.05, cos_coeffs=(0.2, 0.05), sin_coeffs=(0.15,)))
-    cfg = IntegratorConfig(dt=dt, t_end=t_end, snapshot_stride=1)
-    rec = evolve(grid, state0, mu, cfg)
-    s = rec.series
+    return grid, state0, mu, evolve(grid, state0, mu, IntegratorConfig(dt=dt, t_end=t_end, snapshot_stride=1))
 
-    out = [
+
+def _record_checks(rec, mu: float) -> list[CheckResult]:
+    """Conservation, constraints and the lower bound, read off the record."""
+    s = rec.series
+    ok, margin = gronwall_check(rec)
+    return [
         _result("energy_conservation", rec.energy_drift, 1e-10, "relative drift"),
         _result("sphere_constraint", float(np.max(s.sphere_defect)), 1e-13),
         _result("tangency_constraint", float(np.max(s.tangency_defect)), 1e-13),
         _result("mean_velocity_conservation", float(np.max(np.abs(s.mu_check - mu))), 1e-13),
+        CheckResult("pointwise_lower_bound", margin, math.inf, ok, "margin >= 1 required"),
     ]
 
-    ok, margin = gronwall_check(rec)
-    out.append(CheckResult("pointwise_lower_bound", margin, math.inf, ok, "margin >= 1 required"))
 
-    # reversal: negate rho_t and the mean, march the same horizon back
+def _time_reversal(grid: PeriodicGrid, state0: LagrangianState, rec, mu: float, dt: float,
+                   t_end: float) -> CheckResult:
+    """Negate rho_t and the mean of the final state, march the same horizon
+    back and compare with the initial state."""
     final = rec.snapshots[-1]
     back0 = LagrangianState(final.rho, -final.rho_t, final.k0, 0.0)
     rec_b = evolve(grid, back0, -mu, IntegratorConfig(dt=dt, t_end=t_end, snapshot_stride=10**9))
@@ -208,22 +233,90 @@ def run_evolution_checks(n: int = 64, dt: float = 1e-3, t_end: float = 0.5) -> l
         float(np.max(np.abs(-back.rho_t - state0.rho_t))),
         abs(back.k0 - state0.k0),
     )
-    out.append(_result("time_reversal", rev, 1e-9, f"dt={dt:g}, t={t_end:g}"))
-    out.append(_offset_slope_check(grid, rec, mu, dt))
+    return _result("time_reversal", rev, 1e-9, f"dt={dt:g}, t={t_end:g}")
 
+
+def _flow_map_round_trip(grid: PeriodicGrid, final: LagrangianState) -> CheckResult:
     fmap = flow_map(grid, final)
     xs = np.linspace(-0.3, 1.7, 401)
-    out.append(_result(
-        "flow_map_round_trip",
-        float(np.max(np.abs(fmap.invert(fmap(xs)) - xs))),
-        1e-12,
-    ))
-    return out
+    return _result("flow_map_round_trip", float(np.max(np.abs(fmap.invert(fmap(xs)) - xs))), 1e-12)
+
+
+def run_evolution_checks(n: int = EVOLUTION_N, dt: float = EVOLUTION_DT,
+                         t_end: float = EVOLUTION_T_END) -> list[CheckResult]:
+    """Short smooth run: conservation, constraints, reversal, round trips."""
+    grid, state0, mu, rec = _forward_run(n, dt, t_end)
+    return [*_record_checks(rec, mu), _time_reversal(grid, state0, rec, mu, dt, t_end),
+            _offset_slope_check(grid, rec, mu, dt), _flow_map_round_trip(grid, rec.snapshots[-1])]
+
+
+def _beside(child, parent):
+    """(child(), parent()), child run in one forked child process while this
+    process runs parent, where that can help (see the module docstring).
+
+    The child's value comes back pickled over a pipe; a child that raises
+    is a RuntimeError that carries its traceback.  The child is reaped
+    before this returns, and killed first if parent raises.
+    """
+    from . import _affinity  # here, so that `import rhosphere` loads no module more
+
+    if _affinity.cpus() < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+        return child(), parent()
+    cpu = _affinity.this_cpu()
+    read, write = os.pipe()
+    # the child leaves through os._exit, so nothing buffered before the
+    # fork is written twice
+    sys.stdout.flush()
+    sys.stderr.flush()
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read)
+            _affinity.keep_off(cpu)
+            try:
+                reply = (True, child())
+            except BaseException:
+                import traceback
+
+                reply = (False, traceback.format_exc())
+            with open(write, "wb") as pipe:
+                pickle.dump(reply, pipe, pickle.HIGHEST_PROTOCOL)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write)
+    try:
+        with open(read, "rb") as pipe:
+            here = parent()
+            sent = pipe.read()
+    except BaseException:
+        import signal
+
+        os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if not sent:
+        raise RuntimeError(f"the validation child (pid {pid}) exited with code {code} before it sent its rows")
+    ok, value = pickle.loads(sent)
+    if not ok:
+        raise RuntimeError(f"the validation child (pid {pid}) raised:\n{value}")
+    return value, here
 
 
 def full_validation(n: int = 128, seed: int = 2026, n_states: int = 100,
                     flip_h_sign: bool = False) -> list[CheckResult]:
     """The identity suite, the envelope check and the evolution checks, in
-    that order."""
-    return [*run_identity_suite(n=n, seed=seed, n_states=n_states, flip_h_sign=flip_h_sign),
-            run_envelope_check(), *run_evolution_checks()]
+    that order; all but the evolution checks' forward and reversal runs in
+    one forked child where that can help (see the module docstring)."""
+    dt, t_end = EVOLUTION_DT, EVOLUTION_T_END
+    grid, state0, mu, rec = _forward_run(EVOLUTION_N, dt, t_end)
+
+    def child():
+        return ([*run_identity_suite(n=n, seed=seed, n_states=n_states, flip_h_sign=flip_h_sign),
+                 run_envelope_check()],
+                [_offset_slope_check(grid, rec, mu, dt), _flow_map_round_trip(grid, rec.snapshots[-1])])
+
+    (head, tail), reversal = _beside(child, lambda: _time_reversal(grid, state0, rec, mu, dt, t_end))
+    return [*head, *_record_checks(rec, mu), reversal, *tail]

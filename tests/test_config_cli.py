@@ -26,6 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import rhosphere._affinity as affinity
 import rhosphere.cli as cli
 from rhosphere.cli import _fmt, _simulate_to, main
 from rhosphere.config import (DEFAULTS, MAX_GRID_SIZE, MAX_VALIDATE_N, MAX_VALIDATE_STATES, SCHEMA, ConfigError,
@@ -536,10 +537,10 @@ def test_writer_child_runs_unpinned_when_the_pin_fails(tmp_path, monkeypatch, st
         path = tmp_path / "stat"
         if stat is not None:
             path.write_bytes(stat)
-        monkeypatch.setattr(cli, "THREAD_STAT", str(path))
-        assert cli._this_cpu() is None
+        monkeypatch.setattr(affinity, "THREAD_STAT", str(path))
+        assert affinity.this_cpu() is None
     if cpu is not None:
-        monkeypatch.setattr(cli, "_this_cpu", lambda: cpu)
+        monkeypatch.setattr(affinity, "this_cpu", lambda: cpu)
     if allowed is not None:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: allowed, raising=False)
     monkeypatch.setattr(os, "sched_setaffinity", set_affinity, raising=False)
@@ -552,16 +553,16 @@ def test_writer_child_runs_unpinned_when_the_pin_fails(tmp_path, monkeypatch, st
 @pytest.mark.skipif(not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
                     reason="needs at least two CPUs this process may use")
 def test_writer_child_keeps_off_the_parents_cpu(tmp_path, monkeypatch):
-    if cli._this_cpu() is None:
-        pytest.skip(f"{cli.THREAD_STAT} cannot be read")
-    read_cpu = cli._this_cpu
+    if affinity.this_cpu() is None:
+        pytest.skip(f"{affinity.THREAD_STAT} cannot be read")
+    read_cpu = affinity.this_cpu
     at_fork = []
 
     def recorded_cpu():
         at_fork.append(read_cpu())
         return at_fork[-1]
 
-    monkeypatch.setattr(cli, "_this_cpu", recorded_cpu)
+    monkeypatch.setattr(affinity, "this_cpu", recorded_cpu)
     grid, state, mu = cli._build_run(parse_config(simulate_cfg(tmp_path)))
     writers = cli._SnapshotWriters(tmp_path, grid, mu, True)
     try:
@@ -862,6 +863,20 @@ def test_malformed_config_files_exit_cleanly(lines, command_args):
     assert (code == 1) == ("\nconfig error: " in "\n" + said), said
 
 
+@pytest.mark.parametrize("command", ["simulate", "validate", "compare", "sweep"])
+def test_an_out_under_a_regular_file_is_a_config_error_before_any_work(tmp_path, capsys, monkeypatch, command):
+    for name in ("evolve", "full_validation", "_SnapshotWriters"):
+        monkeypatch.setattr(cli, name, None)
+    cfg = write_cfg(tmp_path, "grid.n = 16\nrun.dt = 1e-2\nrun.t_end = 0.02\n"
+                    "sweep.initial.amplitude = 0.5 1.0\n")
+    (tmp_path / "plainfile").write_text("", encoding="utf-8")
+    argv = [command, "--config", str(cfg), "--out", str(tmp_path / "plainfile" / "x")]
+    assert main(argv + (["--workers", "1"] if command == "sweep" else [])) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot create the output directory "), err
+    assert "Traceback" not in err
+
+
 def test_sweep_rejects_bad_swept_value_before_any_run(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "run.t_end = 0.01\nsweep.grid.n = 32 100\n")
     out = tmp_path / "s"
@@ -1129,7 +1144,7 @@ def test_sweep_workers_default_to_the_cpus_this_process_may_use(monkeypatch):
     assert cli._resolve_workers(None) == 3
     assert cli._resolve_workers(5) == 5
     if "fork" in multiprocessing.get_all_start_methods():
-        assert cli._cpus() == 3
+        assert affinity.cpus() == 3
 
 
 def test_version_flag(capsys):

@@ -20,7 +20,8 @@ from rhosphere import (
     make_initial,
 )
 from rhosphere import lagrangian
-from rhosphere.lagrangian import _antiderivative_pair, _exp_partials_direct, _source_rows, apriori_bound, evaluate, pressure
+from rhosphere.lagrangian import (_antiderivative_pair, _exp_partials_direct, _source_rows, apriori_bound, evaluate,
+                                  pressure, velocity_and_gradient)
 from rhosphere.reconstruct import flow_map, slope_field
 from rhosphere.validate import random_state, run_identity_suite
 
@@ -298,6 +299,27 @@ def test_tangency_warning_fires():
     state = LagrangianState(rho, rho_t, 0.0, 0.0)
     with pytest.warns(UserWarning, match="tangency defect"):
         lagrangian_velocity(grid, state, 0.0)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 2**31 - 1), st.floats(-0.5, 0.5))
+def test_velocity_and_gradient_from_one_pair_match_two_routes(seed, mu):
+    grid = PeriodicGrid(64)
+    state = on_sphere(grid, seed)
+    vel, pgrad = velocity_and_gradient(grid, state, mu)
+    ref = lagrangian_velocity(grid, state, mu)
+    assert np.array_equal(vel, ref)
+    assert np.array_equal(pgrad, kernel_fields(grid, state, ref)[1])
+
+
+def test_velocity_and_gradient_keep_the_velocity_checks():
+    grid = PeriodicGrid(64)
+    with pytest.warns(UserWarning, match="tangency defect"):
+        velocity_and_gradient(grid, LagrangianState(np.ones(64), np.full(64, 0.01), 0.0, 0.0), 0.0)
+    rho = np.ones(64)
+    rho[3] = np.inf
+    with pytest.raises(ValueError, match="not finite"), np.errstate(all="ignore"):
+        velocity_and_gradient(grid, LagrangianState(rho, np.zeros(64), 0.0, 0.0), 0.0)
 
 
 def test_apriori_bound_positive_and_monotone_in_rho_t():

@@ -251,6 +251,22 @@ def test_weak_residual_routes_agree_before_breaking():
     assert abs(rh - rl) < 1e-5
 
 
+def test_weak_residual_label_route_takes_both_fields_from_one_pair(peakon_record, monkeypatch):
+    # bit for bit what lagrangian_velocity and kernel_fields gave, on a run
+    # through breaking
+    from rhosphere import kernel_fields, lagrangian_velocity, reconstruct
+
+    def two_calls(grid, state, mu):
+        vel = lagrangian_velocity(grid, state, mu)
+        return vel, kernel_fields(grid, state, vel)[1]
+
+    grid, rec, mu = peakon_record
+    phi = bump_test(center=0.45, width=0.2, t0=0.6, t1=1.9)
+    one = weak_residual(rec, mu, phi, m=256, times=12, route="label")
+    monkeypatch.setattr(reconstruct, "velocity_and_gradient", two_calls)
+    assert one == weak_residual(rec, mu, phi, m=256, times=12, route="label")
+
+
 def test_weak_residual_symmetric_test_function_annihilates(peakon_record):
     # the pair solution stays odd about the collision point, so any test
     # function even about it integrates the residual to zero identically

@@ -1,4 +1,5 @@
 import ast
+import errno
 import importlib
 import inspect
 import os
@@ -10,9 +11,11 @@ import numpy as np
 import pytest
 
 import rhosphere
+import rhosphere._affinity as affinity
+import rhosphere.validate as validate
 from rhosphere import PeriodicGrid, full_validation
 from rhosphere.integrate import project
-from rhosphere.lagrangian import LagrangianState
+from rhosphere.lagrangian import LagrangianState, kernel_fields, lagrangian_velocity
 from rhosphere.validate import (derivative_tol, random_state, run_envelope_check, run_evolution_checks,
                                 run_identity_suite)
 
@@ -106,14 +109,175 @@ def test_derivative_tol_grows_with_n():
     assert derivative_tol(16) > 0.0
 
 
-def test_full_validation_runs_in_this_process(monkeypatch):
-    def no_fork():
-        raise AssertionError("the battery forked")
+def no_fork():
+    raise AssertionError("the battery forked")
 
+
+def test_full_validation_runs_in_this_process(monkeypatch):
+    # on one CPU the battery runs here
+    monkeypatch.setattr(affinity, "cpus", lambda: 1)
     monkeypatch.setattr(os, "fork", no_fork)
     results = full_validation(n=32, seed=5, n_states=6)
     assert len(results) == 17
     assert all(r.passed for r in results)
+
+
+def rows(results):
+    return [(r.name, r.value, r.tol, r.passed, r.detail) for r in results]
+
+
+def no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def forked_battery(monkeypatch, **kwargs):
+    """full_validation with a fork whatever the CPUs, and the fork count."""
+    monkeypatch.setattr(affinity, "cpus", lambda: 2)
+    fork = os.fork
+    forks = []
+
+    def counted_fork():
+        forks.append(None)
+        return fork()
+
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "fork", counted_fork)
+        results = full_validation(**kwargs)
+    assert len(forks) == 1
+    no_child_left()
+    return results
+
+
+def inline_battery(monkeypatch, **kwargs):
+    with monkeypatch.context() as patch:
+        patch.setattr(affinity, "cpus", lambda: 1)
+        patch.setattr(os, "fork", no_fork)
+        return full_validation(**kwargs)
+
+
+@pytest.mark.parametrize("flip_h_sign", [False, True])
+def test_forked_battery_matches_inline(monkeypatch, flip_h_sign):
+    kwargs = dict(n=32, seed=5, n_states=6, flip_h_sign=flip_h_sign)
+    inline = inline_battery(monkeypatch, **kwargs)
+    forked = forked_battery(monkeypatch, **kwargs)
+    assert rows(forked) == rows(inline)
+    assert len(forked) == 17
+    failed = [r.name for r in forked if not r.passed]
+    assert failed == (["pressure_slope_identity", "gradient_slope_identity"] if flip_h_sign else [])
+
+
+def test_a_failing_child_is_a_runtime_error_with_its_traceback(monkeypatch):
+    def raises(**kwargs):
+        raise ZeroDivisionError("in the identity suite")
+
+    monkeypatch.setattr(validate, "run_identity_suite", raises)
+    monkeypatch.setattr(affinity, "cpus", lambda: 2)
+    with pytest.raises(RuntimeError, match=r"^the validation child \(pid \d+\) raised:") as info:
+        full_validation(n=32, seed=5, n_states=6)
+    assert "Traceback (most recent call last)" in str(info.value)
+    assert "ZeroDivisionError: in the identity suite" in str(info.value)
+    no_child_left()
+
+
+def test_a_child_that_exits_without_its_rows_is_a_runtime_error(monkeypatch):
+    monkeypatch.setattr(validate, "run_identity_suite", lambda **kwargs: os._exit(5))
+    monkeypatch.setattr(affinity, "cpus", lambda: 2)
+    with pytest.raises(RuntimeError, match=r"^the validation child \(pid \d+\) exited with code 5 before"):
+        full_validation(n=32, seed=5, n_states=6)
+    no_child_left()
+
+
+def test_an_error_in_the_parent_reaps_the_child(monkeypatch):
+    def reversal_fails(*args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(validate, "_time_reversal", reversal_fails)
+    monkeypatch.setattr(affinity, "cpus", lambda: 2)
+    with pytest.raises(KeyboardInterrupt):
+        full_validation(n=32, seed=5, n_states=6)
+    no_child_left()
+
+
+def cpus_in_envelope_detail(monkeypatch):
+    """Make the envelope row, which the child computes, report the CPUs
+    the child may run on in its detail."""
+    envelope = validate.run_envelope_check
+
+    def with_cpus():
+        row = envelope()
+        row.detail = " ".join(map(str, sorted(os.sched_getaffinity(0))))
+        return row
+
+    monkeypatch.setattr(validate, "run_envelope_check", with_cpus)
+
+
+def child_cpus(results):
+    return {int(c) for c in next(r for r in results if r.name == "field_gap_envelope").detail.split()}
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs at least two CPUs this process may use")
+def test_validation_child_keeps_off_the_parents_cpu(monkeypatch):
+    if affinity.this_cpu() is None:
+        pytest.skip(f"{affinity.THREAD_STAT} cannot be read")
+    read_cpu = affinity.this_cpu
+    at_fork = []
+
+    def recorded_cpu():
+        at_fork.append(read_cpu())
+        return at_fork[-1]
+
+    monkeypatch.setattr(affinity, "this_cpu", recorded_cpu)
+    cpus_in_envelope_detail(monkeypatch)
+    results = forked_battery(monkeypatch, n=32, seed=5, n_states=6)
+    assert len(at_fork) == 1 and at_fork[0] is not None
+    cpus = child_cpus(results)
+    assert cpus and at_fork[0] not in cpus
+    assert os.sched_getaffinity(0) >= cpus | {at_fork[0]}
+
+
+def refuse_pin(pid, cpus):
+    # raised in the child, where it would be a RuntimeError
+    raise AssertionError(f"pinned to {cpus}")
+
+
+def einval_pin(pid, cpus):
+    raise OSError(errno.EINVAL, "Invalid argument")
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="needs os.sched_getaffinity")
+@pytest.mark.parametrize("stat,set_affinity", [(None, refuse_pin), (b"1 (python) R 0", refuse_pin),
+                                               ("real", einval_pin)], ids=["no_stat", "short_stat", "einval"])
+def test_validation_child_runs_unpinned_when_the_pin_fails(tmp_path, monkeypatch, stat, set_affinity):
+    # unpinned, the child reports the CPUs this process may use, as the
+    # inline run does
+    cpus_in_envelope_detail(monkeypatch)
+    kwargs = dict(n=32, seed=5, n_states=6)
+    inline = inline_battery(monkeypatch, **kwargs)
+    assert child_cpus(inline) == os.sched_getaffinity(0)
+    if stat != "real":
+        path = tmp_path / "stat"
+        if stat is not None:
+            path.write_bytes(stat)
+        monkeypatch.setattr(affinity, "THREAD_STAT", str(path))
+        assert affinity.this_cpu() is None
+    monkeypatch.setattr(os, "sched_setaffinity", set_affinity, raising=False)
+    assert rows(forked_battery(monkeypatch, **kwargs)) == rows(inline)
+
+
+def two_calls(grid, state, mu):
+    vel = lagrangian_velocity(grid, state, mu)
+    return vel, kernel_fields(grid, state, vel)[1]
+
+
+def test_offset_series_takes_both_fields_from_one_pair(monkeypatch):
+    # the offset slope check is bit for bit what two field routes per
+    # snapshot gave
+    grid, _, mu, rec = validate._forward_run(64, 1e-3, 0.1)
+    one = validate._offset_slope_check(grid, rec, mu, 1e-3)
+    monkeypatch.setattr(validate, "velocity_and_gradient", two_calls)
+    assert one == validate._offset_slope_check(grid, rec, mu, 1e-3)
 
 
 def test_import_leaves_multiprocessing_out():
