@@ -34,6 +34,13 @@ when the baseline's interquartile range exceeds that bound times its
 median: its runs spread too widely for the bound rule to tell a
 regression from noise.
 
+Both checkouts run with the same bytecode-cache state: each side's runs
+get their own PYTHONPYCACHEPREFIX directory, empty at the start, under
+one temporary directory that lasts the whole recording, and perfbench's
+set-up probe inherits it.  A checkout's own __pycache__ is then neither
+read nor written, so a side that had one does not start its imports
+sooner than a fresh clone.
+
 With `--held-out SEED` the runs use that seed instead, only at `--trace 0`,
 and go under the key "held_out" of the existing BENCH_<pr>.json, so that a
 gain measured while working on seed 1 is checked on a seed it was not.
@@ -94,8 +101,9 @@ def run_delay_ns(pid: int) -> int | None:
         return None
 
 
-def run_one(checkout: Path, workload: str, trace: int, seed: int = SEED) -> tuple[dict, dict]:
-    """(record, result) of one perfbench run in `checkout`; the result
+def run_one(checkout: Path, workload: str, trace: int, seed: int, pycache: Path) -> tuple[dict, dict]:
+    """(record, result) of one perfbench run in `checkout`, its bytecode
+    cached under `pycache` (PYTHONPYCACHEPREFIX); the result
     gains the steal share and the run-delay share over the run, each None
     where it is unknown, and the CPU seconds per job, None for a run of no
     jobs.  The run delay is read after the child exits and before it is
@@ -106,7 +114,8 @@ def run_one(checkout: Path, workload: str, trace: int, seed: int = SEED) -> tupl
     before = cpu_times()
     with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
         start = time.perf_counter()
-        child = subprocess.Popen(argv, cwd=checkout, stdout=out, stderr=err)
+        child = subprocess.Popen(argv, cwd=checkout, stdout=out, stderr=err,
+                                 env=dict(os.environ, PYTHONPYCACHEPREFIX=str(pycache)))
         os.waitid(os.P_PID, child.pid, os.WEXITED | os.WNOWAIT)
         wall = time.perf_counter() - start
         delay = run_delay_ns(child.pid)
@@ -185,21 +194,23 @@ def main(argv=None) -> int:
         checkouts["baseline"] = args.baseline.resolve()
     runs = {name: {w: {"trace0": [], "trace1": None} for w in workloads} for name in checkouts}
     machine = None
-    for workload in workloads:
-        for trace, repeats in traces:
-            for repeat in range(repeats):
-                # alternate which checkout runs first
-                order = list(checkouts.items())[::-1 if repeat % 2 else 1]
-                for name, checkout in order:
-                    record, result = run_one(checkout, workload, trace, seed)
-                    machine = machine or record["machine"]
-                    entry = {"jobs": record["jobs"], "failed_operations": record["failed_operations"], **result}
-                    if trace == 0:
-                        runs[name][workload]["trace0"].append(entry)
-                    else:
-                        runs[name][workload]["trace1"] = entry
-                    print(f"{name} {workload} trace {trace}: {result['failed']} failed of {result['attempted']}",
-                          file=sys.stderr)
+    with tempfile.TemporaryDirectory(prefix="bench-pycache-") as caches:
+        for workload in workloads:
+            for trace, repeats in traces:
+                for repeat in range(repeats):
+                    # alternate which checkout runs first
+                    order = list(checkouts.items())[::-1 if repeat % 2 else 1]
+                    for name, checkout in order:
+                        record, result = run_one(checkout, workload, trace, seed, Path(caches) / name)
+                        machine = machine or record["machine"]
+                        entry = {"jobs": record["jobs"], "failed_operations": record["failed_operations"],
+                                 **result}
+                        if trace == 0:
+                            runs[name][workload]["trace0"].append(entry)
+                        else:
+                            runs[name][workload]["trace1"] = entry
+                        print(f"{name} {workload} trace {trace}: {result['failed']} failed of "
+                              f"{result['attempted']}", file=sys.stderr)
 
     out = {"pr": args.pr, "seed": seed, "seconds": SECONDS, "repeats": REPEATS,
            "machine": machine, "commits": {name: commit_of(c) for name, c in checkouts.items()},

@@ -11,18 +11,17 @@ The float blocks of series.csv and the snapshot files are formatted by
 one orjson call each, whose shortest round-trip digits are repr's; an
 entry whose layout orjson writes differently takes its repr instead (see
 _rows).
-``simulate`` on more than one CPU streams its snapshots to one writer
-child, forked before the run if it makes at least two, while `evolve`
-runs: the child is sent raw float64 messages and allowed CREDITS files
-in flight, with this process holding the rest, up to PENDING_BYTES, and
-writing the oldest itself past that.  After the run this process writes
-series.csv and events.csv, then shares the snapshots still held;
-metadata.txt comes last.  Without the child (one CPU, one snapshot, or
-a sweep point) each snapshot file is written as soon as `evolve` makes
-it.  The bytes of the run directory are the same either way.  The child
-keeps off the CPU this process was on at the fork: a pipe write wakes its
-reader on the writer's CPU, so a child left there would take turns with
-`evolve` instead of writing beside it.
+``simulate`` streams its snapshots to one writer child, forked before
+the run if it makes at least two, while `evolve` runs: the child is sent
+raw float64 messages and allowed CREDITS files in flight, with this
+process holding the rest, up to PENDING_BYTES, and writing the oldest
+itself past that.  After the run this process writes series.csv and
+events.csv, then shares the snapshots still held; metadata.txt comes
+last.  Without the child (where `_affinity.can_fork` is false, for one
+snapshot, or at a sweep point) each snapshot file is written as soon as
+`evolve` makes it.  The bytes of the run directory are the same either
+way.  The child comes from `_affinity.child`; that module says how
+rhosphere forks and why the child keeps off this process's CPU.
 
 Exit codes: 0 success, 1 configuration problems, 2 a run that stopped
 early (non-finite step or reference-solver blowup), 3 validation failure.
@@ -169,9 +168,9 @@ class _SnapshotWriters:
     is left: the child takes messages from the front, this process from
     the back.  `close` joins the child; a child that died is a
     RuntimeError from `check`, never an exception inside `evolve`.  The
-    child first moves off the CPU this process was on at the fork, where
-    each send would wake it and make `evolve` wait while it writes; this
-    process itself is never pinned.
+    child comes from `_affinity.child`, so it keeps off the CPU this
+    process was on, where each send would wake it and make `evolve` wait
+    while it writes.
     """
 
     def __init__(self, snapdir: Path, grid: PeriodicGrid, mu: float, fork: bool):
@@ -183,16 +182,11 @@ class _SnapshotWriters:
         self.process = None
         if not fork:
             return
-        import multiprocessing
-
         data_r, self.data = os.pipe()
         self.ack, ack_w = os.pipe()
         os.set_blocking(self.ack, False)
         self.window = _window(self.data, 8 * (3 + 2 * grid.n))
-        # the fork context flushes stdout and stderr first, and the child
-        # leaves through os._exit, so no buffered output is written twice
-        self.process = multiprocessing.get_context("fork").Process(
-            target=self._child, args=(data_r, ack_w, _affinity.this_cpu()), name="snapshot writer")
+        self.process = _affinity.child(self._child, (data_r, ack_w), "snapshot writer")
         try:
             self.process.start()
         except BaseException:
@@ -202,12 +196,11 @@ class _SnapshotWriters:
             os.close(data_r)
             os.close(ack_w)
 
-    def _child(self, data: int, ack: int, parent_cpu: int | None) -> None:
+    def _child(self, data: int, ack: int) -> None:
         """The child's loop: read a message, write its file, ack one byte,
-        until the parent closes the data pipe.  It first keeps off
-        parent_cpu, then closes the parent's pipe ends it inherited, or the
-        data pipe would never reach end of file."""
-        _affinity.keep_off(parent_cpu)
+        until the parent closes the data pipe.  It first closes the
+        parent's pipe ends it inherited, or the data pipe would never reach
+        end of file."""
         os.close(self.data)
         os.close(self.ack)
         msg = np.empty(3 + 2 * self.grid.n)
@@ -372,7 +365,7 @@ def _simulate_to(cfg: RunConfig, out: Path, fork: bool = False, observe=None):
 
 
 def run_simulate(cfg: RunConfig, out: Path) -> int:
-    code, _, _ = _simulate_to(cfg, out, hasattr(os, "fork") and _affinity.cpus() > 1)
+    code, _, _ = _simulate_to(cfg, out, _affinity.can_fork())
     return code
 
 

@@ -14,12 +14,11 @@ them and fails the process when any row fails.
 ``full_validation`` makes the evolution suite's forward run, then forks
 one child that runs the identity suite, the envelope check, the offset
 slope series and the flow-map round trip on it while this process makes
-the time-reversal run.  The child first keeps off the CPU this process
-was on at the fork (`_affinity`), since the pipe that carries its rows
-back would otherwise wake it there to take turns with the reversal run.
-With one usable CPU, no os.fork or other live threads, which a fork does
-not copy, all of it runs in this process.  The rows come back in the same
-order and with the same bits either way.
+the time-reversal run.  `_affinity.can_fork` decides whether to fork,
+and `_affinity.child` makes the child and keeps it off this process's
+CPU; that module says why.  Where it may not fork, all of it runs in this
+process.  The rows come back in the same order and with the same bits
+either way.
 """
 
 from __future__ import annotations
@@ -27,12 +26,11 @@ from __future__ import annotations
 import math
 import os
 import pickle
-import sys
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import _affinity
 from .grid import PeriodicGrid
 from .integrate import IntegratorConfig, evolve, gronwall_check, project
 from .lagrangian import (LagrangianState, apriori_bound, evaluate, kernel_fields, lagrangian_velocity,
@@ -252,57 +250,51 @@ def run_evolution_checks(n: int = EVOLUTION_N, dt: float = EVOLUTION_DT,
 
 def _beside(child, parent):
     """(child(), parent()), child run in one forked child process while this
-    process runs parent, where that can help (see the module docstring).
+    process runs parent, where `_affinity.can_fork` allows; the child is
+    made by `_affinity.child` (see the module docstring).
 
     The child's value comes back pickled over a pipe; a child that raises
     is a RuntimeError that carries its traceback.  The child is reaped
     before this returns, and killed first if parent raises.
     """
-    from . import _affinity  # here, so that `import rhosphere` loads no module more
-
-    if _affinity.cpus() < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+    if not _affinity.can_fork():
         return child(), parent()
-    cpu = _affinity.this_cpu()
     read, write = os.pipe()
-    # the child leaves through os._exit, so nothing buffered before the
-    # fork is written twice
-    sys.stdout.flush()
-    sys.stderr.flush()
-    pid = os.fork()
-    if pid == 0:
-        code = 1
+    process = _affinity.child(_reply, (child, read, write), "validation child")
+    with open(read, "rb") as pipe:
         try:
-            os.close(read)
-            _affinity.keep_off(cpu)
-            try:
-                reply = (True, child())
-            except BaseException:
-                import traceback
-
-                reply = (False, traceback.format_exc())
-            with open(write, "wb") as pipe:
-                pickle.dump(reply, pipe, pickle.HIGHEST_PROTOCOL)
-            code = 0
+            process.start()
         finally:
-            os._exit(code)
-    os.close(write)
-    try:
-        with open(read, "rb") as pipe:
+            os.close(write)
+        try:
             here = parent()
             sent = pipe.read()
-    except BaseException:
-        import signal
-
-        os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        except BaseException:
+            process.kill()
+            raise
+        finally:
+            process.join()
     if not sent:
-        raise RuntimeError(f"the validation child (pid {pid}) exited with code {code} before it sent its rows")
+        raise RuntimeError(f"the validation child (pid {process.pid}) exited with code {process.exitcode} "
+                           "before it sent its rows")
     ok, value = pickle.loads(sent)
     if not ok:
-        raise RuntimeError(f"the validation child (pid {pid}) raised:\n{value}")
+        raise RuntimeError(f"the validation child (pid {process.pid}) raised:\n{value}")
     return value, here
+
+
+def _reply(child, read: int, write: int) -> None:
+    """The validation child: child()'s value, or the traceback it raised,
+    pickled down the pipe write."""
+    os.close(read)
+    try:
+        reply = (True, child())
+    except BaseException:
+        import traceback
+
+        reply = (False, traceback.format_exc())
+    with open(write, "wb") as pipe:
+        pickle.dump(reply, pipe, pickle.HIGHEST_PROTOCOL)
 
 
 def full_validation(n: int = 128, seed: int = 2026, n_states: int = 100,

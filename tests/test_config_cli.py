@@ -15,6 +15,7 @@ import struct
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 import warnings
 from pathlib import Path
@@ -509,6 +510,53 @@ def test_simulate_forks_one_writer_whatever_the_cpus(tmp_path, monkeypatch):
     assert len(forks) == 1
     assert multiprocessing.active_children() == []
     assert len(list((tmp_path / "run" / "snapshots").iterdir())) == 51
+
+
+@contextlib.contextmanager
+def live_thread():
+    """A second thread, alive until the block ends, waiting on an Event."""
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait, name="waiting")
+    thread.start()
+    try:
+        yield
+    finally:
+        stop.set()
+        thread.join()
+
+
+def test_simulate_forks_no_writer_beside_a_live_thread(tmp_path, monkeypatch):
+    # a fork copies only the forking thread, so a lock another thread held
+    # would stay locked in the child; 8 CPUs and 51 snapshots would fork
+    cfg = every_step_cfg(tmp_path)
+    with contextlib.redirect_stdout(io.StringIO()):
+        _simulate_to(parse_config(cfg), tmp_path / "inline")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+    fork = os.fork
+    forks = []
+
+    def counted_fork():
+        forks.append(None)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    with live_thread(), contextlib.redirect_stdout(io.StringIO()):
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 0
+    assert forks == []
+    assert run_files(tmp_path / "run") == run_files(tmp_path / "inline")
+
+
+@pytest.mark.parametrize("usable,has_fork,thread,expected", [
+    (1, True, False, False), (8, False, False, False), (8, True, True, False), (8, True, False, True),
+], ids=["one_cpu", "no_fork", "live_thread", "may_fork"])
+def test_can_fork(monkeypatch, usable, has_fork, thread, expected):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(usable)), raising=False)
+    if not has_fork:
+        monkeypatch.delattr(os, "fork", raising=False)
+    elif not hasattr(os, "fork"):
+        pytest.skip("needs os.fork")
+    with live_thread() if thread else contextlib.nullcontext():
+        assert affinity.can_fork() is expected
 
 
 def refuse_pin(pid, cpus):
