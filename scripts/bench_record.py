@@ -39,7 +39,10 @@ get their own PYTHONPYCACHEPREFIX directory, empty at the start, under
 one temporary directory that lasts the whole recording, and perfbench's
 set-up probe inherits it.  A checkout's own __pycache__ is then neither
 read nor written, so a side that had one does not start its imports
-sooner than a fresh clone.
+sooner than a fresh clone.  PYTHONDONTWRITEBYTECODE is dropped from the
+runs' environment, so that each side's first run fills its directory and
+the later runs import from a warm cache, as an installed package does;
+otherwise every run would compile the standard library and numpy anew.
 
 With `--held-out SEED` the runs use that seed instead, only at `--trace 0`,
 and go under the key "held_out" of the existing BENCH_<pr>.json, so that a
@@ -103,7 +106,7 @@ def run_delay_ns(pid: int) -> int | None:
 
 def run_one(checkout: Path, workload: str, trace: int, seed: int, pycache: Path) -> tuple[dict, dict]:
     """(record, result) of one perfbench run in `checkout`, its bytecode
-    cached under `pycache` (PYTHONPYCACHEPREFIX); the result
+    read from and written to `pycache` (PYTHONPYCACHEPREFIX); the result
     gains the steal share and the run-delay share over the run, each None
     where it is unknown, and the CPU seconds per job, None for a run of no
     jobs.  The run delay is read after the child exits and before it is
@@ -111,11 +114,12 @@ def run_one(checkout: Path, workload: str, trace: int, seed: int, pycache: Path)
     the rusage of reaping it, which holds its waited-for descendants'."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", str(SECONDS), "--trace", str(trace)]
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
+    env["PYTHONPYCACHEPREFIX"] = str(pycache)
     before = cpu_times()
     with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
         start = time.perf_counter()
-        child = subprocess.Popen(argv, cwd=checkout, stdout=out, stderr=err,
-                                 env=dict(os.environ, PYTHONPYCACHEPREFIX=str(pycache)))
+        child = subprocess.Popen(argv, cwd=checkout, stdout=out, stderr=err, env=env)
         os.waitid(os.P_PID, child.pid, os.WEXITED | os.WNOWAIT)
         wall = time.perf_counter() - start
         delay = run_delay_ns(child.pid)
