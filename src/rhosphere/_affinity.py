@@ -4,7 +4,8 @@ Two children are forked, each beside work this process goes on with: the
 snapshot writer of `cli`, which writes the files while `evolve` runs, and
 the validation child of `validate`, which runs the independent checks
 while this process makes the time-reversal run.  Both come from `child`,
-and whether to fork at all is decided only by `can_fork`:
+and whether to fork at all is decided only by `can_fork`; the `sweep`
+pool's workers are the only children made elsewhere.
 
 - `can_fork` is true when this process may run on more than one CPU, has
   os.fork and runs no other live thread.  With one CPU the child could

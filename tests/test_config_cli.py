@@ -522,7 +522,8 @@ def live_thread():
         yield
     finally:
         stop.set()
-        thread.join()
+        thread.join(60)
+    assert not thread.is_alive()
 
 
 def test_simulate_forks_no_writer_beside_a_live_thread(tmp_path, monkeypatch):
